@@ -337,7 +337,8 @@ func (m *Machine) NewSelector(kind Kind, opt Options) (*Selector, error) {
 		return nil, err
 	}
 	s := &Selector{kind: kind, machine: m, m: opt.Metrics, eng: eng, rd: rd, intern: newInterner()}
-	s.emitters.New = func() any { return emitterFor(m.Grammar, s.intern) }
+	tmpl := emit.Compile(m.Grammar)
+	s.emitters.New = func() any { return emitterFor(tmpl, s.intern) }
 	return s, nil
 }
 
@@ -492,19 +493,18 @@ func (s *Selector) compile(ctx context.Context, f *Forest, cfg *compileConfig) (
 		return nil, err
 	}
 	defer s.releaseLabeling(lab)
-	em := s.emitters.Get().(*emit.Emitter)
-	defer s.emitters.Put(em)
-	em.Reset()
-	// StageReduce includes the emission visitor callbacks the reducer
-	// interleaves — splitting them out would need a per-node stamp the
-	// warm path can't afford. StageEmit is finalization only: assembly
-	// interning and instruction accounting.
-	cost, err := s.rd.CoverContext(ctx, f, lab, em.Visitor(), cfg.counters)
+	// The reducer returns the cover as a list and the emitter walks it
+	// afterwards, so the two stages are stamped apart.
+	cov, err := s.rd.CoverContext(ctx, f, lab, cfg.counters)
 	tr.Mark(telemetry.StageReduce)
 	if err != nil {
 		return nil, err
 	}
-	out := &Output{Asm: em.Asm(), Instructions: em.Instructions(), Cost: cost}
+	em := s.emitters.Get().(*emit.Emitter)
+	em.Emit(cov)
+	out := &Output{Asm: em.Asm(), Instructions: em.Instructions(), Cost: cov.Cost}
+	s.emitters.Put(em)
+	s.rd.Release(cov)
 	tr.Mark(telemetry.StageEmit)
 	return out, nil
 }
@@ -532,9 +532,14 @@ func (s *Selector) selectCostTraced(ctx context.Context, f *Forest, m *Counters,
 		return 0, err
 	}
 	defer s.releaseLabeling(lab)
-	cost, err := s.rd.CoverContext(ctx, f, lab, nil, m)
+	cov, err := s.rd.CoverContext(ctx, f, lab, m)
 	tr.Mark(telemetry.StageReduce)
-	return cost, err
+	if err != nil {
+		return 0, err
+	}
+	cost := cov.Cost
+	s.rd.Release(cov)
+	return cost, nil
 }
 
 // labelChecked labels f, converting the engine's typed state-budget panic

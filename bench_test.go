@@ -284,14 +284,18 @@ func benchCompile(b *testing.B, gname string, stripped bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	tmpl := emit.Compile(g)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, f := range fs {
-			em := emit.New(g)
-			if _, err := rd.Cover(f, e.Label(f), em.Visit); err != nil {
+			em := emit.New(tmpl)
+			c, err := rd.Cover(f, e.Label(f))
+			if err != nil {
 				b.Fatal(err)
 			}
+			em.Emit(c)
+			rd.Release(c)
 		}
 	}
 }

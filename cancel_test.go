@@ -56,11 +56,32 @@ func TestCompilePreCancelled(t *testing.T) {
 	}
 }
 
+// cancellingLabeling wraps a labeling and cancels on its at-th RuleAt
+// call. The reducer calls RuleAt exactly once per (node, nonterminal)
+// visit, right after counting it, and inline on the covering goroutine,
+// so visitsAtCancel is an exact snapshot of m's visit count at
+// cancellation.
+type cancellingLabeling struct {
+	reduce.Labeling
+	at, calls      int
+	cancel         func()
+	m              *metrics.Counters
+	visitsAtCancel int64
+}
+
+func (l *cancellingLabeling) RuleAt(n *repro.Node, nt grammar.NT) int32 {
+	if l.calls++; l.calls == l.at {
+		l.cancel()
+		l.visitsAtCancel = l.m.NodesReduced
+	}
+	return l.Labeling.RuleAt(n, nt)
+}
+
 // TestCoverCancelsWithinCheckpoint pins the bound the reducer promises:
 // once the context ends mid-cover, at most CancelCheckInterval more
 // (node, nonterminal) visits happen before the walk aborts with ctx.Err().
 // The forest is a huge flat expression chain, far larger than the
-// checkpoint interval, and the visitor cancels at a fixed visit — fully
+// checkpoint interval, and the labeling cancels at a fixed visit — fully
 // deterministic, single-goroutine.
 func TestCoverCancelsWithinCheckpoint(t *testing.T) {
 	m, err := repro.LoadMachine("x86")
@@ -99,9 +120,11 @@ func TestCoverCancelsWithinCheckpoint(t *testing.T) {
 	// Baseline: the full cover visits far more combinations than the
 	// cancellation bound, or this test proves nothing.
 	full := &metrics.Counters{}
-	if _, err := rd.CoverContext(context.Background(), f, lab, nil, full); err != nil {
+	c, err := rd.CoverContext(context.Background(), f, lab, full)
+	if err != nil {
 		t.Fatal(err)
 	}
+	rd.Release(c)
 	if full.NodesReduced < 4*reduce.CancelCheckInterval {
 		t.Fatalf("forest too small to observe the checkpoint bound: %d visits", full.NodesReduced)
 	}
@@ -110,21 +133,14 @@ func TestCoverCancelsWithinCheckpoint(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cm := &metrics.Counters{}
-	fired := 0
-	visitsAtCancel := int64(-1)
-	_, err = rd.CoverContext(ctx, f, lab, func(n *repro.Node, nt grammar.NT, r *grammar.Rule) {
-		if fired++; fired == cancelAt {
-			cancel()
-			// The visitor runs inline on the covering goroutine, so this
-			// read is an exact snapshot of the visit count at cancellation.
-			visitsAtCancel = cm.NodesReduced
-		}
-	}, cm)
+	cl := &cancellingLabeling{Labeling: lab, at: cancelAt, cancel: cancel, m: cm, visitsAtCancel: -1}
+	_, err = rd.CoverContext(ctx, f, cl, cm)
+	visitsAtCancel := cl.visitsAtCancel
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled cover = %v, want context.Canceled", err)
 	}
 	if visitsAtCancel < 0 {
-		t.Fatal("cover finished before the visitor could cancel")
+		t.Fatal("cover finished before the labeling could cancel")
 	}
 	// After the cancel, the walk may run to the end of its current
 	// checkpoint window — at most one full interval of further visits.
@@ -173,14 +189,9 @@ func TestCoverCancelsAcrossManyRoots(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cm := &metrics.Counters{}
-	fired := 0
-	visitsAtCancel := int64(-1)
-	_, err = rd.CoverContext(ctx, f, lab, func(n *repro.Node, nt grammar.NT, r *grammar.Rule) {
-		if fired++; fired == 500 {
-			cancel()
-			visitsAtCancel = cm.NodesReduced
-		}
-	}, cm)
+	cl := &cancellingLabeling{Labeling: lab, at: 500, cancel: cancel, m: cm, visitsAtCancel: -1}
+	_, err = rd.CoverContext(ctx, f, cl, cm)
+	visitsAtCancel := cl.visitsAtCancel
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled many-root cover = %v, want context.Canceled", err)
 	}

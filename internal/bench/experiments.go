@@ -429,15 +429,15 @@ func RunE6() ([]E6Row, *Table, error) {
 				odLab := e.Label(f)
 				dpm.Reset()
 				dpLab := dpl.Label(f)
-				cOD, err := rd.Cover(f, odLab, nil)
+				dOD, err := rd.Trace(f, odLab)
 				if err != nil {
 					return nil, nil, err
 				}
-				cDP, err := rd.Cover(f, dpLab, nil)
+				dDP, err := rd.Trace(f, dpLab)
 				if err != nil {
 					return nil, nil, err
 				}
-				if cOD != cDP {
+				if dOD.Cost != dDP.Cost {
 					equal = false
 				}
 				checked++
@@ -539,22 +539,20 @@ func RunE7(gname string) ([]E7Row, *Table, error) {
 		var costDyn, costFixed grammar.Cost
 		instrsDyn, instrsFixed := 0, 0
 		for _, f := range u.forests {
-			em := emit.New(g)
-			c, err := rd.Cover(f, dpl.Label(f), em.Visit)
+			_, n, c, err := emit.Emit(rd, f, dpl.Label(f), g)
 			if err != nil {
 				return nil, nil, err
 			}
 			costDyn = costDyn.Add(c)
-			instrsDyn += em.Instructions()
+			instrsDyn += n
 		}
 		for _, f := range fixedUnits[i].forests {
-			em := emit.New(fixed)
-			c, err := rdF.Cover(f, dplF.Label(f), em.Visit)
+			_, n, c, err := emit.Emit(rdF, f, dplF.Label(f), fixed)
 			if err != nil {
 				return nil, nil, err
 			}
 			costFixed = costFixed.Add(c)
-			instrsFixed += em.Instructions()
+			instrsFixed += n
 		}
 		row := E7Row{
 			Grammar: gname, Program: u.name,

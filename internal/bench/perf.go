@@ -279,9 +279,11 @@ func RunPerf(passes int) (*PerfReport, *Table, error) {
 		selectPass := func() {
 			for _, f := range fs {
 				lab := e.LabelStates(f)
-				if _, err := rd.Cover(f, lab, nil); err != nil {
+				c, err := rd.Cover(f, lab)
+				if err != nil {
 					panic(err) // corpus is known-derivable; see the tests
 				}
+				rd.Release(c)
 				e.ReleaseLabeling(lab)
 			}
 		}
@@ -470,9 +472,11 @@ func measureOffline(g *grammar.Grammar, passes int, row *PerfRow) (func(), error
 	selectPass := func() {
 		for _, f := range fs {
 			lab := a.LabelStates(f)
-			if _, err := rd.Cover(f, lab, nil); err != nil {
+			c, err := rd.Cover(f, lab)
+			if err != nil {
 				panic(err) // corpus is known-derivable; see the tests
 			}
+			rd.Release(c)
 			a.ReleaseLabeling(lab)
 		}
 	}
@@ -519,9 +523,11 @@ func measureHybrid(g *grammar.Grammar, env grammar.DynEnv, fs []*ir.Forest, node
 	selectPass := func() {
 		for _, f := range fs {
 			lab := h.LabelStates(f)
-			if _, err := rd.Cover(f, lab, nil); err != nil {
+			c, err := rd.Cover(f, lab)
+			if err != nil {
 				panic(err) // corpus is known-derivable; see the tests
 			}
+			rd.Release(c)
 			h.ReleaseLabeling(lab)
 		}
 	}
@@ -568,9 +574,11 @@ func measureHybrid(g *grammar.Grammar, env grammar.DynEnv, fs []*ir.Forest, node
 	fixedPass := func() {
 		for _, f := range ffs {
 			lab := hF.LabelStates(f)
-			if _, err := rdF.Cover(f, lab, nil); err != nil {
+			c, err := rdF.Cover(f, lab)
+			if err != nil {
 				panic(err) // corpus is known-derivable; see the tests
 			}
+			rdF.Release(c)
 			hF.ReleaseLabeling(lab)
 		}
 	}

@@ -81,11 +81,11 @@ type grammarCost struct {
 
 func forestCosts(t *testing.T, rd *reduce.Reducer, f *ir.Forest, lab reduce.Labeling) grammarCost {
 	t.Helper()
-	c, err := rd.Cover(f, lab, nil)
+	d, err := rd.Trace(f, lab)
 	if err != nil {
 		return grammarCost{err: err.Error()}
 	}
-	return grammarCost{cost: int64(c)}
+	return grammarCost{cost: int64(d.Cost)}
 }
 
 func totalNodes(fs []*ir.Forest) int {

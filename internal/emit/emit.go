@@ -24,21 +24,20 @@
 //
 // # Allocation discipline
 //
-// A warm Emitter (one that has been Reset after emitting forests at least
-// as large) allocates nothing per node: operand and rule bookkeeping live
-// in flat slices indexed by (node, nonterminal), operand text is built in
-// a per-emitter byte arena whose views are handed around as unsafe
-// zero-copy strings valid until the next Reset, virtual-register names
-// come from a grown-once table, and the assembly accumulates in a reused
-// byte buffer. The only storage that leaves the emitter is the Asm()
-// string, which is interned through the shared Interner (or plain-copied
-// without one) — never a view of recycled memory, so returned assembly
-// stays valid forever.
+// Templates are compiled once per grammar into op slices that all its
+// emitters share, so emission parses no '%' escape. An Emitter walks a
+// reduce.Cover front to back with one operand slot per list position;
+// every operand a template references (a premise, or a dotted path
+// followed through premise links) sits at a smaller, filled position. A
+// warm Emitter allocates nothing: operand slots, the arena backing
+// operand text as zero-copy strings, register names and the assembly
+// buffer are reused. Only the Asm() string leaves the emitter, interned
+// through the shared Interner (or copied without one) — never a view of
+// recycled memory, so returned assembly stays valid forever.
 package emit
 
 import (
 	"strconv"
-	"strings"
 	"unsafe"
 
 	"repro/internal/grammar"
@@ -46,182 +45,226 @@ import (
 	"repro/internal/reduce"
 )
 
-// Emitter accumulates assembly for one forest. Use one Emitter per Cover;
-// Reset recycles it for the next. Emitters are not safe for concurrent
-// use — pool them (see Selector in the root package).
+// Templates is a grammar's rule templates compiled to op slices, indexed
+// by rule; immutable, shared by all emitters of the grammar.
+type Templates struct{ rules []ruleTmpl }
+
+type ruleTmpl struct {
+	kind  tmplKind
+	chain bool
+	ops   []op
+}
+
+type tmplKind uint8
+
+const (
+	tmplPass  tmplKind = iota // empty: pass the RHS or first-kid operand through
+	tmplValue                 // "=...": the expansion is the operand
+	tmplInstr                 // one instruction line into a fresh register
+)
+
+// op is one template piece: literal text, then one substitution (for
+// subKid, of the operand at a dotted kid path, one byte per step).
+type op struct {
+	lit  string
+	sub  subKind
+	path string
+}
+
+type subKind uint8
+
+const (
+	subNone subKind = iota // a trailing literal
+	subKid                 // %k[.k...] of a base rule
+	subRHS                 // %k of a chain rule: the right-hand side's operand
+	subVal                 // %c
+	subSym                 // %s
+	subDst                 // %d
+)
+
+var plainEscapes = map[byte]subKind{'c': subVal, 's': subSym, 'd': subDst}
+
+// Compile compiles every rule template of g.
+func Compile(g *grammar.Grammar) *Templates {
+	t := &Templates{rules: make([]ruleTmpl, len(g.Rules))}
+	for i := range g.Rules {
+		r := &g.Rules[i]
+		rt := &t.rules[i]
+		rt.chain = r.IsChain
+		switch {
+		case r.Template == "":
+			rt.kind = tmplPass
+		case r.Template[0] == '=':
+			rt.kind, rt.ops = tmplValue, compileOps(r.Template[1:], r.IsChain)
+		default:
+			// The tab and newline framing every instruction line join the
+			// template's literals; neither can change how an escape parses.
+			rt.kind, rt.ops = tmplInstr, compileOps("\t"+r.Template+"\n", r.IsChain)
+		}
+	}
+	return t
+}
+
+// compileOps splits a template at its escapes: %0/%1 with optional
+// .digit path steps, %c, %s, %d, and %% for a literal '%'; an unknown
+// escape and a trailing '%' stay literal.
+func compileOps(tmpl string, chain bool) []op {
+	var ops []op
+	var lit []byte
+	for i := 0; i < len(tmpl); i++ {
+		if tmpl[i] != '%' || i+1 >= len(tmpl) {
+			lit = append(lit, tmpl[i])
+			continue
+		}
+		i++
+		var o op
+		switch tmpl[i] {
+		case '0', '1':
+			path := []byte{tmpl[i] - '0'}
+			for i+2 < len(tmpl) && tmpl[i+1] == '.' && tmpl[i+2] >= '0' && tmpl[i+2] <= '9' {
+				path = append(path, tmpl[i+2]-'0')
+				i += 2
+			}
+			o.sub, o.path = subKid, string(path)
+			if chain {
+				o.sub = subRHS
+			}
+		case 'c', 's', 'd':
+			o.sub = plainEscapes[tmpl[i]]
+		default:
+			if tmpl[i] != '%' {
+				lit = append(lit, '%')
+			}
+			lit = append(lit, tmpl[i])
+			continue
+		}
+		o.lit = string(lit)
+		ops = append(ops, o)
+		lit = lit[:0]
+	}
+	if len(lit) > 0 {
+		ops = append(ops, op{lit: string(lit)})
+	}
+	return ops
+}
+
+// Emitter turns covers into assembly, one Emit at a time. Emitters are
+// not safe for concurrent use — pool them (see Selector in the root
+// package).
 type Emitter struct {
-	g     *grammar.Grammar
-	numNT int
-
-	// operands[n.Index*numNT+nt] is the operand text the (node,
-	// nonterminal) result can be referenced by; applied[...] the rule
-	// reduced there (nil = not visited, the presence marker). Flat slices,
-	// grown to the largest forest seen and cleared by Reset.
-	operands []string
-	applied  []*grammar.Rule
-
-	// arena backs within-call operand text (expanded value templates, leaf
-	// payload renderings) as zero-copy views; tmp is the template-expansion
-	// scratch, separate from arena so nested operand rendering cannot
-	// interleave bytes into an expansion in progress. Both are reused
-	// across Reset.
+	t *Templates
+	// slots[i] is the operand text step i of the cover can be
+	// referenced by; arena backs operand text as zero-copy views, valid
+	// for one Emit.
+	slots []string
 	arena []byte
-	tmp   []byte
-
-	// asm is the accumulated assembly text; regs the grown-once virtual
-	// register name table ("r0", "r1", ...).
-	asm  []byte
-	regs []string
-
-	// intern, when set, canonicalizes Asm() results (see Interner); visit
-	// is the cached Visit method value, so callers passing the visitor
-	// per call do not allocate a closure each time.
+	// asm is the assembly text; regs the grown-once virtual register
+	// names ("r0", "r1", ...); intern, when set, canonicalizes Asm().
+	asm    []byte
+	regs   []string
 	intern *Interner
-	visit  reduce.Visitor
-
-	nextReg int
-	instrs  int
+	instrs int
 }
 
-// New creates an emitter for g.
-func New(g *grammar.Grammar) *Emitter {
-	e := &Emitter{g: g, numNT: g.NumNonterms()}
-	e.visit = e.Visit
-	return e
-}
+// New creates an emitter over compiled templates t.
+func New(t *Templates) *Emitter { return &Emitter{t: t} }
 
 // SetInterner shares in as the canonical store for Asm() results; all
 // emitters pooled by one selector share one interner. A nil interner
 // reverts to plain per-call copies.
 func (e *Emitter) SetInterner(in *Interner) { e.intern = in }
 
-// Visitor returns the emitter's reduce.Visitor without allocating: the
-// method value is created once at construction.
-func (e *Emitter) Visitor() reduce.Visitor { return e.visit }
-
-// Reset clears all per-forest state so the emitter can be reused for the
-// next Cover, keeping every buffer's capacity. Previously returned Asm
-// strings stay valid: they were interned or copied out, never views of
-// the recycled buffers.
-func (e *Emitter) Reset() {
-	e.asm = e.asm[:0]
-	e.arena = e.arena[:0]
-	clear(e.operands)
-	clear(e.applied)
-	e.nextReg = 0
-	e.instrs = 0
-}
-
-// key returns the flat (node, nonterminal) slot index. Callers rely on
-// ensure having sized the slices: Visit grows them for its node up front,
-// which covers every slot the visit can touch — kid indexes are strictly
-// smaller in the forest's topological child-before-parent order.
-func (e *Emitter) key(n *ir.Node, nt grammar.NT) int {
-	return n.Index*e.numNT + int(nt)
-}
-
-// ensure grows the bookkeeping slices to cover node index idx. Growth only
-// happens when a larger forest than ever before arrives; a warm emitter
-// never reallocates here.
-func (e *Emitter) ensure(idx int) {
-	need := (idx + 1) * e.numNT
-	if need <= len(e.operands) {
-		return
+// Emit replaces the emitter's assembly with c's: one pass over the steps,
+// each filling its operand slot from its compiled template. Previously
+// returned Asm strings stay valid: they were interned or copied out,
+// never views of the recycled buffers.
+func (e *Emitter) Emit(c *reduce.Cover) {
+	e.asm, e.arena, e.instrs = e.asm[:0], e.arena[:0], 0
+	if n := len(c.Steps); cap(e.slots) < n {
+		e.slots = make([]string, n, 2*n)
 	}
-	grown := make([]string, need+4*e.numNT)
-	copy(grown, e.operands)
-	e.operands = grown
-	grownR := make([]*grammar.Rule, len(grown))
-	copy(grownR, e.applied)
-	e.applied = grownR
-}
-
-// Visit is the reduce.Visitor that drives emission.
-func (e *Emitter) Visit(n *ir.Node, nt grammar.NT, r *grammar.Rule) {
-	e.ensure(n.Index)
-	key := e.key(n, nt)
-	e.applied[key] = r
-	switch {
-	case r.Template == "":
-		// Pass-through: chain rules forward the RHS nonterminal's operand;
-		// base rules without templates forward their first kid (or render
-		// the leaf payload).
-		if r.IsChain {
-			e.operands[key] = e.operandOf(n, r.ChainRHS)
-		} else if len(n.Kids) > 0 {
-			e.operands[key] = e.operandOf(n.Kids[0], r.Kids[0])
-		} else {
-			e.operands[key] = e.leafText(n)
-		}
-	case strings.HasPrefix(r.Template, "="):
-		e.expandTmp(r.Template[1:], n, r, "")
-		e.operands[key] = e.internArena(e.tmp)
-	default:
-		dst := e.regName(e.nextReg)
-		e.nextReg++
-		e.expandTmp(r.Template, n, r, dst)
-		e.asm = append(e.asm, '\t')
-		e.asm = append(e.asm, e.tmp...)
-		e.asm = append(e.asm, '\n')
-		e.instrs++
-		e.operands[key] = dst
-	}
-}
-
-// expandTmp substitutes template escapes into e.tmp.
-func (e *Emitter) expandTmp(tmpl string, n *ir.Node, r *grammar.Rule, dst string) {
-	e.tmp = e.tmp[:0]
-	for i := 0; i < len(tmpl); i++ {
-		c := tmpl[i]
-		if c != '%' || i+1 >= len(tmpl) {
-			e.tmp = append(e.tmp, c)
-			continue
-		}
-		i++
-		switch tmpl[i] {
-		case '0', '1':
-			ki := int(tmpl[i] - '0')
-			// Collect a dotted path: %1.1 descends through helper rules.
-			var pbuf [4]int
-			path := append(pbuf[:0], ki)
-			for i+2 < len(tmpl) && tmpl[i+1] == '.' && tmpl[i+2] >= '0' && tmpl[i+2] <= '9' {
-				path = append(path, int(tmpl[i+2]-'0'))
-				i += 2
-			}
-			if r.IsChain {
-				e.tmp = append(e.tmp, e.operandOf(n, r.ChainRHS)...)
-			} else {
-				e.tmp = append(e.tmp, e.pathOperand(n, r, path)...)
-			}
-		case 'c':
-			e.tmp = strconv.AppendInt(e.tmp, n.Val, 10)
-		case 's':
-			e.tmp = append(e.tmp, n.Sym...)
-		case 'd':
-			e.tmp = append(e.tmp, dst...)
-		case '%':
-			e.tmp = append(e.tmp, '%')
+	slots := e.slots[:len(c.Steps)]
+	e.slots = slots
+	nextReg := 0
+	for i := range c.Steps {
+		s := &c.Steps[i]
+		switch rt := &e.t.rules[s.Rule]; {
+		case rt.kind == tmplInstr:
+			dst := e.regName(nextReg)
+			nextReg++
+			e.asm = e.expand(e.asm, rt.ops, c, s, dst)
+			e.instrs++
+			slots[i] = dst
+		case rt.kind == tmplValue:
+			start := len(e.arena)
+			e.arena = e.expand(e.arena, rt.ops, c, s, "")
+			slots[i] = view(e.arena[start:])
+		case rt.chain || len(s.Node.Kids) > 0: // pass the RHS or kid 0 through
+			slots[i] = slots[c.Prems[s.Prem]]
+		case s.Node.Sym != "": // a template-less leaf: its payload
+			slots[i] = s.Node.Sym
 		default:
-			e.tmp = append(e.tmp, '%', tmpl[i])
+			start := len(e.arena)
+			e.arena = strconv.AppendInt(e.arena, s.Node.Val, 10)
+			slots[i] = view(e.arena[start:])
 		}
 	}
+	clear(slots) // a pooled emitter pins neither the forest nor old arenas
 }
 
-// internArena copies b into the arena and returns a zero-copy view, valid
-// until the next Reset — the lifetime of every operand string.
-func (e *Emitter) internArena(b []byte) string {
-	start := len(e.arena)
-	e.arena = append(e.arena, b...)
-	v := e.arena[start:]
-	if len(v) == 0 {
+// expand appends step s's compiled template to b. Referenced operands may
+// be views of the arena b itself grows: append never writes below len(b).
+func (e *Emitter) expand(b []byte, ops []op, c *reduce.Cover, s *reduce.Step, dst string) []byte {
+	for i := range ops {
+		o := &ops[i]
+		if o.lit != "" {
+			b = append(b, o.lit...)
+		}
+		switch o.sub {
+		case subKid:
+			b = append(b, e.pathOperand(c, s, o.path)...)
+		case subRHS:
+			b = append(b, e.slots[c.Prems[s.Prem]]...)
+		case subVal:
+			b = strconv.AppendInt(b, s.Node.Val, 10)
+		case subSym:
+			b = append(b, s.Node.Sym...)
+		case subDst:
+			b = append(b, dst...)
+		}
+	}
+	return b
+}
+
+// pathOperand resolves a dotted kid path starting at base-rule step s:
+// each step moves to premise path[k] and on through the chain rules
+// applied there down to a base rule, so a further path step has kids to
+// descend into; the operand is the one at that base rule.
+func (e *Emitter) pathOperand(c *reduce.Cover, s *reduce.Step, path string) string {
+	var p int32 // paths are never empty
+	for k := 0; k < len(path); k++ {
+		if int(path[k]) >= len(s.Node.Kids) {
+			return "?"
+		}
+		p = c.Prems[s.Prem+int32(path[k])]
+		for e.t.rules[c.Steps[p].Rule].chain {
+			p = c.Prems[c.Steps[p].Prem]
+		}
+		s = &c.Steps[p]
+	}
+	return e.slots[p]
+}
+
+// view returns a zero-copy string over b.
+func view(b []byte) string {
+	if len(b) == 0 {
 		return ""
 	}
-	return unsafe.String(unsafe.SliceData(v), len(v))
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-// regName returns the interned name of virtual register i. Names are
-// plain heap strings retained across Reset, so a warm emitter never
-// re-renders them.
+// regName returns the name of virtual register i, rendered once per
+// emitter.
 func (e *Emitter) regName(i int) string {
 	for len(e.regs) <= i {
 		e.regs = append(e.regs, "r"+strconv.Itoa(len(e.regs)))
@@ -229,55 +272,9 @@ func (e *Emitter) regName(i int) string {
 	return e.regs[i]
 }
 
-// pathOperand resolves a dotted kid path starting at base rule r of node n:
-// each step moves to kid path[k] of the current node, using the rule
-// reduced at the current (node, nonterminal) to find the kid nonterminal.
-func (e *Emitter) pathOperand(n *ir.Node, r *grammar.Rule, path []int) string {
-	for step, ki := range path {
-		if r == nil || r.IsChain || ki >= len(n.Kids) {
-			return "?"
-		}
-		nt := r.Kids[ki]
-		n = n.Kids[ki]
-		// Follow chain rules applied at the kid down to a base rule so a
-		// further path step has kids to descend into.
-		kr := e.applied[e.key(n, nt)]
-		for kr != nil && kr.IsChain {
-			nt = kr.ChainRHS
-			kr = e.applied[e.key(n, nt)]
-		}
-		if step == len(path)-1 {
-			return e.operandOf(n, nt)
-		}
-		r = kr
-	}
-	return "?"
-}
-
-func (e *Emitter) operandOf(n *ir.Node, nt grammar.NT) string {
-	key := e.key(n, nt)
-	if e.applied[key] != nil {
-		return e.operands[key]
-	}
-	// A kid whose reduction carried no template at all: render the leaf.
-	return e.leafText(n)
-}
-
-// leafText renders a leaf payload: the symbol if present, else the value
-// as an arena-backed decimal.
-func (e *Emitter) leafText(n *ir.Node) string {
-	if n.Sym != "" {
-		return n.Sym
-	}
-	start := len(e.arena)
-	e.arena = strconv.AppendInt(e.arena, n.Val, 10)
-	v := e.arena[start:]
-	return unsafe.String(unsafe.SliceData(v), len(v))
-}
-
 // Asm returns the emitted assembly text: interned through the shared
 // Interner when one is set, otherwise a fresh copy. Either way the result
-// owns its bytes — it survives Reset and further emission.
+// owns its bytes — it survives further emission.
 func (e *Emitter) Asm() string {
 	if len(e.asm) == 0 {
 		return ""
@@ -296,10 +293,12 @@ func (e *Emitter) Instructions() int { return e.instrs }
 // Emit covers f with lab using reducer rd and returns the assembly, the
 // emitted instruction count, and the derivation cost.
 func Emit(rd *reduce.Reducer, f *ir.Forest, lab reduce.Labeling, g *grammar.Grammar) (asm string, instrs int, cost grammar.Cost, err error) {
-	em := New(g)
-	cost, err = rd.Cover(f, lab, em.Visit)
+	c, err := rd.Cover(f, lab)
 	if err != nil {
 		return "", 0, 0, err
 	}
-	return em.Asm(), em.Instructions(), cost, nil
+	defer rd.Release(c)
+	em := New(Compile(g))
+	em.Emit(c)
+	return em.Asm(), em.Instructions(), c.Cost, nil
 }

@@ -13,7 +13,7 @@ import "sync"
 //
 // Interned strings are retained for the Interner's lifetime. That is also
 // what makes returned Output.Asm values durable: an Emitter's internal
-// buffers are recycled by Reset, but the string handed out is either
+// buffers are recycled by its next Emit, but the string handed out is either
 // interned (owned here) or a plain copy — never a view of recycled
 // storage. Retention is bounded by the byte cap: once the cap is reached,
 // Intern degrades to plain string copies (correct, one allocation per

@@ -183,7 +183,7 @@ func TestLowerSelectsRMWOnX86(t *testing.T) {
 	// The g += 5 statement must be covered by an RMW rule (dyn x86.memop):
 	found := false
 	for _, s := range deriv.Steps {
-		if g.Rules[s.RuleIndex].DynCost == "x86.memop" {
+		if g.Rules[s.Rule].DynCost == "x86.memop" {
 			found = true
 		}
 	}

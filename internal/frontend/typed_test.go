@@ -155,11 +155,11 @@ func TestAlphaByteAccessExpensive(t *testing.T) {
 	cost := func(src string) int {
 		unit := MustLower(MustParse(src), g)
 		f := unit.Funcs[0].Forest
-		c, err := rd.Cover(f, l.Label(f), nil)
+		d, err := rd.Trace(f, l.Label(f))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return int(c)
+		return int(d.Cost)
 	}
 	byteCost := cost(`char b[32]; int f(int i) { return b[i]; }`)
 	wordCost := cost(`int w[32]; int f(int i) { return w[i]; }`)

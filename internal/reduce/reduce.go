@@ -1,6 +1,10 @@
 // Package reduce implements the reducer pass shared by all labelers: given
 // a labeled forest, it walks the optimal derivation from the start
-// nonterminal at each root, firing each rule's action bottom-up.
+// nonterminal at each root and returns it as data — a Cover, the applied
+// rules in post-order (bottom-up, left to right), each with the list
+// positions of its premises. Consumers such as the emitter walk that list
+// linearly; the reducer itself runs no actions. Cost-only callers read
+// the Cover's Cost and release it.
 //
 // The reducer is deliberately engine-independent — it reads rules through
 // the small Labeling interface — which is also how the test suite verifies
@@ -9,18 +13,21 @@
 //
 // DAG inputs are handled per Ertl (POPL '99): each (node, nonterminal)
 // combination is reduced at most once; derivations from different parents
-// that meet at the same combination share it.
+// that meet at the same combination share its step, found through a
+// per-node chain of steps.
 //
 // The walk is iterative — an explicit enter/exit work stack instead of
 // recursion, so arbitrarily deep trees cannot overflow the goroutine
-// stack — and its per-call state (the stack plus a bitset indexed by
-// node×nonterminal that replaces the old map[int64]bool) is pooled, so a
-// warm Cover performs no allocation.
+// stack. A bitset indexed by node×nonterminal marks reduced combinations;
+// it is the reducer's only node×nonterminal structure. The list, the walk
+// state and the bitset are pooled together in the Cover, so a warm cover
+// performs no allocation.
 package reduce
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/grammar"
@@ -113,18 +120,13 @@ type LabelingRecycler interface {
 	ReleaseLabeling(lab Labeling)
 }
 
-// Visitor receives each applied rule in bottom-up (post-order) position —
-// the point where code generation actions run. nt is the nonterminal the
-// rule was applied for at n.
-type Visitor func(n *ir.Node, nt grammar.NT, r *grammar.Rule)
-
 // Reducer walks derivations. One Reducer may cover from many goroutines
-// concurrently: all per-call state is pooled, never shared.
+// concurrently: all per-call state lives in pooled Covers, never shared.
 type Reducer struct {
-	g       *grammar.Grammar
-	dyn     []grammar.DynFunc
-	m       *metrics.Counters
-	scratch sync.Pool // *coverScratch
+	g      *grammar.Grammar
+	dyn    []grammar.DynFunc
+	m      *metrics.Counters
+	covers sync.Pool // *Cover
 }
 
 // New creates a reducer. env is needed only to account the true cost of
@@ -135,169 +137,257 @@ func New(g *grammar.Grammar, env grammar.DynEnv, m *metrics.Counters) (*Reducer,
 		return nil, err
 	}
 	rd := &Reducer{g: g, dyn: dyn, m: m}
-	rd.scratch.New = func() any { return &coverScratch{} }
+	rd.covers.New = func() any { return &Cover{} }
 	return rd, nil
+}
+
+// Step is one applied rule of a cover: rule Rule derived nonterminal NT
+// at Node. Its premises are the steps that derived the rule's right-hand
+// side — one for a chain rule, one per kid (in kid order) for a base
+// rule — and their list positions are Cover.Prems[Prem:], as many as
+// the step has premises.
+type Step struct {
+	Node *ir.Node
+	NT   grammar.NT
+	Rule int32
+	Prem int32
+	// next is 1 + the position of the previous step at Node (0: none),
+	// the per-node chain a DAG-shared (node, nonterminal) is found by.
+	next int32
+}
+
+// Cover is a derivation as data: every applied rule in post-order —
+// bottom-up, left to right, each (node, nonterminal) combination once —
+// with the list positions of each step's premises, so a consumer walks
+// it linearly and finds every operand at a smaller position. Cost is the
+// derivation's total, each applied rule counted once.
+//
+// A Cover comes from the reducer's pool and is caller-owned until handed
+// back with Release; a kept Cover is simply garbage collected.
+type Cover struct {
+	Steps []Step
+	Prems []int32
+	Cost  grammar.Cost
+
+	// Walk state, pooled with the list. stack is the explicit work stack,
+	// seen the visited bitset indexed by node×nonterminal, head the
+	// 1-based position of the latest step at each node (the start of its
+	// chain).
+	stack []coverFrame
+	seen  []uint64
+	head  []int32
 }
 
 // coverFrame is one entry of the explicit reduction stack. ri < 0 marks an
 // enter frame (the (n, nt) combination still needs its rule resolved and
-// its premises pushed); ri >= 0 marks an exit frame (all premises are
-// reduced — apply rule ri: account its cost and fire the visitor).
+// its premises walked); ri >= 0 marks an exit frame (its premises are
+// reduced — append the step of rule ri, whose premise positions start at
+// Prems[prem]). dst is the Prems slot that receives the combination's
+// list position, its place among its parent's premises (-1 at a root).
 type coverFrame struct {
-	n  *ir.Node
-	nt grammar.NT
-	ri int32
+	n    *ir.Node
+	nt   grammar.NT
+	ri   int32
+	dst  int32
+	prem int32
 }
 
-// coverScratch is the pooled per-Cover state: the work stack and the
-// visited bitset, indexed by node×nonterminal.
-type coverScratch struct {
-	stack []coverFrame
-	seen  []uint64
+// getCover returns an empty pooled cover whose walk state covers node
+// indices below bound.
+func (rd *Reducer) getCover(bound int) *Cover {
+	c := rd.covers.Get().(*Cover)
+	c.Steps, c.Prems, c.Cost = c.Steps[:0], c.Prems[:0], 0
+	c.seen = zeroed(c.seen, (bound*rd.g.NumNonterms()+63)/64)
+	c.head = zeroed(c.head, bound)
+	return c
 }
 
-// getScratch returns a scratch whose bitset covers node indices below
-// bound, cleared and ready to use.
-func (rd *Reducer) getScratch(bound int) *coverScratch {
-	sc := rd.scratch.Get().(*coverScratch)
-	words := (bound*rd.g.NumNonterms() + 63) / 64
-	if cap(sc.seen) < words {
-		sc.seen = make([]uint64, words)
-	} else {
-		sc.seen = sc.seen[:words]
-		clear(sc.seen)
+// zeroed returns s resized to n zero elements, reusing its capacity.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return sc
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// Release hands c back to the reducer's pool. The caller must not touch
+// c, or slices read out of it, afterwards. The steps' node pointers are
+// cleared first, so a pooled cover does not pin the last forest.
+func (rd *Reducer) Release(c *Cover) {
+	if c != nil {
+		clear(c.Steps)
+		rd.covers.Put(c)
+	}
 }
 
 // Cover reduces every root of f from the grammar's start nonterminal and
-// returns the total cost of the selected derivation (summing each applied
-// rule's cost exactly once, with dynamic costs evaluated at the node).
-// visit may be nil. Cover fails if some root has no derivation.
-func (rd *Reducer) Cover(f *ir.Forest, lab Labeling, visit Visitor) (grammar.Cost, error) {
-	return rd.CoverContext(context.Background(), f, lab, visit, nil)
+// returns the selected derivation as a reduction list, its Cost summing
+// each applied rule's cost exactly once (dynamic costs evaluated at the
+// node). Cover fails if some root has no derivation.
+func (rd *Reducer) Cover(f *ir.Forest, lab Labeling) (*Cover, error) {
+	return rd.CoverContext(context.Background(), f, lab, nil)
 }
 
-// CoverMetered is Cover with per-call counter attribution: reduction
-// visits are counted into m instead of the reducer's configured sink (nil
-// falls back to it) — the reducer half of the per-client accounting the
-// compilation server does via reduce.MeteredLabeler.
-func (rd *Reducer) CoverMetered(f *ir.Forest, lab Labeling, visit Visitor, m *metrics.Counters) (grammar.Cost, error) {
-	return rd.CoverContext(context.Background(), f, lab, visit, m)
-}
-
-// CoverContext is the full cover entry point: per-call counter attribution
-// plus cooperative cancellation. The walk polls ctx.Done() once per
-// CancelCheckInterval (node, nonterminal) visits and aborts with ctx.Err()
-// — the checkpoint that makes a served compile of a pathological forest
-// stop within a bounded number of nodes after its deadline or its client's
+// CoverContext is the full cover entry point: per-call counter
+// attribution (reduction visits are counted into m instead of the
+// reducer's configured sink; nil falls back to it) plus cooperative
+// cancellation. The walk polls ctx.Done() once per CancelCheckInterval
+// (node, nonterminal) visits and aborts with ctx.Err() — the checkpoint
+// that makes a served compile of a pathological forest stop within a
+// bounded number of nodes after its deadline or its client's
 // disconnect. A background context costs nothing on the warm path (its
 // Done channel is nil, so the poll is skipped entirely).
-func (rd *Reducer) CoverContext(ctx context.Context, f *ir.Forest, lab Labeling, visit Visitor, m *metrics.Counters) (grammar.Cost, error) {
+func (rd *Reducer) CoverContext(ctx context.Context, f *ir.Forest, lab Labeling, m *metrics.Counters) (*Cover, error) {
 	if m == nil {
 		m = rd.m
 	}
-	sc := rd.getScratch(len(f.Nodes))
-	defer rd.scratch.Put(sc)
-	var total grammar.Cost
-	// The poll counter spans roots: a forest of many tiny trees must hit
-	// the checkpoint as reliably as one deep tree, or the bound fails for
-	// exactly the many-rooted units servers see.
-	visits := 0
-	for _, root := range f.Roots {
-		// The bitset is shared across roots: derivations from different
-		// roots that meet at one (node, nonterminal) share it too.
-		c, err := rd.reduce(ctx, root, rd.g.Start, lab, visit, sc, m, &visits)
-		if err != nil {
-			return 0, err
-		}
-		total = total.Add(c)
+	c := rd.getCover(len(f.Nodes))
+	if err := rd.reduce(ctx, c, f.Roots, rd.g.Start, lab, m); err != nil {
+		rd.Release(c)
+		return nil, err
 	}
-	return total, nil
+	return c, nil
 }
 
 // CoverTree reduces a single node from an arbitrary goal nonterminal.
-func (rd *Reducer) CoverTree(root *ir.Node, goal grammar.NT, lab Labeling, visit Visitor) (grammar.Cost, error) {
+func (rd *Reducer) CoverTree(root *ir.Node, goal grammar.NT, lab Labeling) (*Cover, error) {
 	// Nodes are topologically indexed, so every node reachable from root
 	// has an index no larger than root's.
-	sc := rd.getScratch(root.Index + 1)
-	defer rd.scratch.Put(sc)
-	visits := 0
-	return rd.reduce(context.Background(), root, goal, lab, visit, sc, rd.m, &visits)
+	c := rd.getCover(root.Index + 1)
+	if err := rd.reduce(context.Background(), c, []*ir.Node{root}, goal, lab, rd.m); err != nil {
+		rd.Release(c)
+		return nil, err
+	}
+	return c, nil
 }
 
-// reduce walks the derivation of (root, goal) with an explicit stack:
-// enter frames resolve the rule at a (node, nonterminal) combination and
-// push its premises (kids for base rules, the RHS combination for chain
-// rules) under an exit frame; exit frames fire in exactly the bottom-up
-// left-to-right order the recursive formulation produced, so visitor
-// (and therefore emission) order is unchanged. Costs accumulate globally:
-// every applied rule contributes exactly once, which is the same sum the
-// recursive version computed, and saturating Cost addition makes the
-// association irrelevant.
-// visits is the caller-scoped poll counter (see CoverContext): it
-// persists across the roots of one cover so the checkpoint cadence holds
-// for many-rooted forests too.
-func (rd *Reducer) reduce(ctx context.Context, root *ir.Node, goal grammar.NT, lab Labeling, visit Visitor, sc *coverScratch, m *metrics.Counters, visits *int) (total grammar.Cost, err error) {
+// reduce walks the derivations of goal at each root, in order, with one
+// explicit stack, appending their steps to c. Roots share the walk state
+// (so derivations meeting at one combination share its step) and the
+// cancellation poll counter (so many tiny trees hit the checkpoint as
+// reliably as one deep tree). Entering a (node, nonterminal) combination
+// resolves its rule, accounts its cost, reserves its premises' Prems
+// slots, pushes an exit frame and descends straight into its first
+// premise, pushing enter frames for the other kids; a leaf's step is
+// appended at once. Each exit appends one step and writes its position
+// into its parent's reserved slot. A combination reached again through
+// another parent (DAG sharing) is found on its node's step chain.
+func (rd *Reducer) reduce(ctx context.Context, c *Cover, roots []*ir.Node, goal grammar.NT, lab Labeling, m *metrics.Counters) (err error) {
 	numNT := rd.g.NumNonterms()
+	rules, dyn, seen, head := rd.g.Rules, rd.dyn, c.seen, c.head
 	done := ctx.Done() // nil for background contexts: no polling at all
-	stack := append(sc.stack[:0], coverFrame{n: root, nt: goal, ri: -1})
-	defer func() { sc.stack = stack[:0] }() // keep grown capacity pooled
+	visits := 0
+	stack := c.stack[:0]
+	for k := len(roots) - 1; k >= 0; k-- {
+		stack = push(stack, roots[k], goal, -1, -1, 0)
+	}
+	steps, prems, total := c.Steps, c.Prems, c.Cost
+walk:
 	for len(stack) > 0 {
 		fr := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if fr.ri >= 0 {
-			// Exit: premises reduced — account the applied rule and fire
-			// the action.
-			r := &rd.g.Rules[fr.ri]
-			if fn := rd.dyn[fr.ri]; fn != nil && !r.IsChain {
-				total = total.Add(fn(fr.n))
-			} else {
-				total = total.Add(r.Cost)
-			}
-			if visit != nil {
-				visit(fr.n, fr.nt, r)
-			}
-			continue
-		}
-		key := fr.n.Index*numNT + int(fr.nt)
-		if sc.seen[key>>6]&(1<<(key&63)) != 0 {
-			// DAG sharing: this (node, nonterminal) was already reduced via
-			// another parent; its cost and actions are accounted there.
-			continue
-		}
-		sc.seen[key>>6] |= 1 << (key & 63)
-		m.CountReduce()
-		if done != nil {
-			if *visits++; *visits%CancelCheckInterval == 0 {
-				select {
-				case <-done:
-					return 0, ctx.Err()
-				default:
+		if fr.ri < 0 {
+			n, nt, dst := fr.n, fr.nt, fr.dst
+			for {
+				key := n.Index*numNT + int(nt)
+				if seen[key>>6]&(1<<(key&63)) != 0 {
+					// DAG sharing: this (node, nonterminal) was already
+					// reduced via another parent; its cost and step are
+					// accounted there.
+					i := head[n.Index] - 1
+					for i >= 0 && steps[i].NT != nt {
+						i = steps[i].next - 1
+					}
+					if i < 0 {
+						err = fmt.Errorf("reduce: labeling is corrupt: cyclic derivation of %s at node %d",
+							rd.g.NTName(nt), n.Index)
+						break walk
+					}
+					if dst >= 0 {
+						prems[dst] = i
+					}
+					continue walk
 				}
+				seen[key>>6] |= 1 << (key & 63)
+				m.CountReduce()
+				if done != nil {
+					if visits++; visits%CancelCheckInterval == 0 {
+						select {
+						case <-done:
+							err = ctx.Err()
+							break walk
+						default:
+						}
+					}
+				}
+
+				ri := lab.RuleAt(n, nt)
+				if ri < 0 {
+					err = fmt.Errorf("reduce: no derivation of %s for operator %s at node %d",
+						rd.g.NTName(nt), rd.g.OpName(n.Op), n.Index)
+					break walk
+				}
+				r := &rules[ri]
+				at := int32(len(prems))
+				if r.IsChain {
+					total = total.Add(r.Cost)
+					prems = append(prems, 0)
+					stack = push(stack, n, nt, ri, dst, at)
+					nt, dst = r.ChainRHS, at
+					continue
+				}
+				if r.Op != n.Op {
+					err = fmt.Errorf("reduce: labeling is corrupt: rule %s (op %s) recorded at node with op %s",
+						rd.g.RuleName(int(ri)), rd.g.OpName(r.Op), rd.g.OpName(n.Op))
+					break walk
+				}
+				if fn := dyn[ri]; fn != nil {
+					total = total.Add(fn(n))
+				} else {
+					total = total.Add(r.Cost)
+				}
+				kids := n.Kids
+				if len(kids) == 0 {
+					fr = coverFrame{n: n, nt: nt, ri: ri, dst: dst, prem: at}
+					break
+				}
+				prems = slices.Grow(prems, len(kids))[:int(at)+len(kids)]
+				stack = push(stack, n, nt, ri, dst, at)
+				for ki := len(kids) - 1; ki > 0; ki-- {
+					stack = push(stack, kids[ki], r.Kids[ki], -1, at+int32(ki), 0)
+				}
+				n, nt, dst = kids[0], r.Kids[0], at
 			}
 		}
-
-		ri := lab.RuleAt(fr.n, fr.nt)
-		if ri < 0 {
-			return 0, fmt.Errorf("reduce: no derivation of %s for operator %s at node %d",
-				rd.g.NTName(fr.nt), rd.g.OpName(fr.n.Op), fr.n.Index)
-		}
-		r := &rd.g.Rules[ri]
-		stack = append(stack, coverFrame{n: fr.n, nt: fr.nt, ri: ri})
-		if r.IsChain {
-			stack = append(stack, coverFrame{n: fr.n, nt: r.ChainRHS, ri: -1})
-			continue
-		}
-		if r.Op != fr.n.Op {
-			return 0, fmt.Errorf("reduce: labeling is corrupt: rule %s (op %s) recorded at node with op %s",
-				rd.g.RuleName(int(ri)), rd.g.OpName(r.Op), rd.g.OpName(fr.n.Op))
-		}
-		for ki := len(fr.n.Kids) - 1; ki >= 0; ki-- {
-			stack = append(stack, coverFrame{n: fr.n.Kids[ki], nt: r.Kids[ki], ri: -1})
+		// Exit (or a leaf): all premises are reduced.
+		i := int32(len(steps))
+		steps = slices.Grow(steps, 1)[:i+1] // field stores: see push
+		st := &steps[i]
+		st.Node, st.NT, st.Rule, st.Prem, st.next = fr.n, fr.nt, fr.ri, fr.prem, head[fr.n.Index]
+		head[fr.n.Index] = i + 1
+		if fr.dst >= 0 {
+			prems[fr.dst] = i
 		}
 	}
-	return total, nil
+	// Keep grown capacity pooled, without the node pointers of popped
+	// frames. The stack never held more frames than were pushed: one per
+	// root and at most one per reserved premise slot.
+	clear(stack[:min(cap(stack), len(roots)+len(prems))])
+	c.stack, c.Steps, c.Prems, c.Cost = stack[:0], steps, prems, total
+	return err
+}
+
+// push appends a frame by storing its fields into the grown slot. An
+// append of a composite literal builds the frame on the goroutine stack
+// and copies it back with wide loads that store forwarding cannot serve,
+// a stall on every push of the walk's hottest loop.
+func push(stack []coverFrame, n *ir.Node, nt grammar.NT, ri, dst, prem int32) []coverFrame {
+	stack = slices.Grow(stack, 1)[:len(stack)+1]
+	f := &stack[len(stack)-1]
+	f.n, f.nt, f.ri, f.dst, f.prem = n, nt, ri, dst, prem
+	return stack
 }
 
 // Derivation records an applied-rule trace, the flattened form the golden
@@ -307,31 +397,21 @@ type Derivation struct {
 	Cost  grammar.Cost
 }
 
-// Step is one applied rule.
-type Step struct {
-	NodeIndex int
-	NT        grammar.NT
-	RuleIndex int
-}
-
-// Trace covers f and records every applied rule in visit order.
+// Trace covers f and returns the cover's steps as the derivation; the
+// cover is not handed back to the pool, the derivation keeps it.
 func (rd *Reducer) Trace(f *ir.Forest, lab Labeling) (*Derivation, error) {
-	d := &Derivation{}
-	cost, err := rd.Cover(f, lab, func(n *ir.Node, nt grammar.NT, r *grammar.Rule) {
-		d.Steps = append(d.Steps, Step{NodeIndex: n.Index, NT: nt, RuleIndex: r.Index})
-	})
+	c, err := rd.Cover(f, lab)
 	if err != nil {
 		return nil, err
 	}
-	d.Cost = cost
-	return d, nil
+	return &Derivation{Steps: c.Steps, Cost: c.Cost}, nil
 }
 
 // String renders a derivation compactly for diagnostics.
 func (d *Derivation) String(g *grammar.Grammar) string {
 	s := fmt.Sprintf("cost=%d:", d.Cost)
 	for _, st := range d.Steps {
-		s += fmt.Sprintf(" n%d/%s:%s", st.NodeIndex, g.NTName(st.NT), g.RuleName(st.RuleIndex))
+		s += fmt.Sprintf(" n%d/%s:%s", st.Node.Index, g.NTName(st.NT), g.RuleName(int(st.Rule)))
 	}
 	return s
 }

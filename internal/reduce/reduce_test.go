@@ -42,7 +42,7 @@ func TestPaperDerivation(t *testing.T) {
 	}
 	names := map[string]bool{}
 	for _, s := range deriv.Steps {
-		names[g.RuleName(s.RuleIndex)] = true
+		names[g.RuleName(int(s.Rule))] = true
 	}
 	for _, want := range []string{"5", "4", "3", "2", "1"} {
 		if !names[want] {
@@ -72,7 +72,7 @@ func TestRMWDerivationOnDAG(t *testing.T) {
 	}
 	used := map[string]bool{}
 	for _, s := range deriv.Steps {
-		used[g.RuleName(s.RuleIndex)] = true
+		used[g.RuleName(int(s.Rule))] = true
 	}
 	if !used["6c"] || !used["6b"] || !used["6a"] {
 		t.Errorf("RMW derivation must pass through 6a/6b/6c: %s", deriv.String(g))
@@ -133,10 +133,12 @@ func TestReduceCostMatchesLabelCost(t *testing.T) {
 		if !ok {
 			continue
 		}
-		got, err := rd.Cover(f, res, nil)
+		c, err := rd.Cover(f, res)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := c.Cost
+		rd.Release(c)
 		if got != want {
 			t.Fatalf("seed %d: reduce cost %d != label cost %d", seed, got, want)
 		}
@@ -153,13 +155,14 @@ func TestDAGVisitsOnce(t *testing.T) {
 	b.Root(b.Node("Store", b.Leaf("Reg", 4), shared))
 	f := b.Finish()
 	visits := map[int]int{}
-	_, err := rd.Cover(f, l.Label(f), func(n *ir.Node, nt grammar.NT, r *grammar.Rule) {
-		if n == shared {
-			visits[int(nt)]++
-		}
-	})
+	cov, err := rd.Cover(f, l.Label(f))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, s := range cov.Steps {
+		if s.Node == shared {
+			visits[int(s.NT)]++
+		}
 	}
 	for nt, c := range visits {
 		if c > 1 {
@@ -175,7 +178,7 @@ func TestUnderivableError(t *testing.T) {
 	d, l, rd := setup(t)
 	// A bare Reg cannot derive stmt.
 	f := ir.MustParseTree(d.Grammar, "Reg[1]")
-	_, err := rd.Cover(f, l.Label(f), nil)
+	_, err := rd.Cover(f, l.Label(f))
 	if err == nil || !strings.Contains(err.Error(), "no derivation") {
 		t.Errorf("expected no-derivation error, got %v", err)
 	}
@@ -185,12 +188,12 @@ func TestCoverTreeGoal(t *testing.T) {
 	d, l, rd := setup(t)
 	g := d.Grammar
 	f := ir.MustParseTree(g, "Plus(Reg, Load(Reg))")
-	cost, err := rd.CoverTree(f.Roots[0], g.MustNT("reg"), l.Label(f), nil)
+	c, err := rd.CoverTree(f.Roots[0], g.MustNT("reg"), l.Label(f))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cost != 2 {
-		t.Errorf("reg cost = %d, want 2", cost)
+	if c.Cost != 2 {
+		t.Errorf("reg cost = %d, want 2", c.Cost)
 	}
 }
 
@@ -209,13 +212,11 @@ func TestDeepTreeReduction(t *testing.T) {
 		n = b.Node("Load", n)
 	}
 	f := b.SingleTree(n)
-	visits := 0
-	cost, err := rd.CoverTree(f.Roots[0], g.MustNT("reg"), l.Label(f), func(*ir.Node, grammar.NT, *grammar.Rule) {
-		visits++
-	})
+	c, err := rd.CoverTree(f.Roots[0], g.MustNT("reg"), l.Label(f))
 	if err != nil {
 		t.Fatal(err)
 	}
+	cost, visits := c.Cost, len(c.Steps)
 	if cost.IsInf() || cost == 0 {
 		t.Fatalf("deep chain cost = %d, want finite nonzero", cost)
 	}
@@ -224,7 +225,7 @@ func TestDeepTreeReduction(t *testing.T) {
 	}
 }
 
-// TestVisitOrderBottomUp: exits must fire bottom-up,
+// TestVisitOrderBottomUp: steps must be listed bottom-up,
 // left-to-right — children before parents, kid 0's subtree before kid
 // 1's — because emission depends on operands existing before use.
 func TestVisitOrderBottomUp(t *testing.T) {
@@ -232,16 +233,82 @@ func TestVisitOrderBottomUp(t *testing.T) {
 	g := d.Grammar
 	f := ir.MustParseTree(g, "Store(Reg[1], Plus(Load(Reg[2]), Reg[3]))")
 	seenNode := map[*ir.Node]bool{}
-	_, err := rd.Cover(f, l.Label(f), func(n *ir.Node, nt grammar.NT, r *grammar.Rule) {
-		for _, k := range n.Kids {
-			if !seenNode[k] {
-				t.Fatalf("rule %s fired at node %d before its child %d", g.RuleName(r.Index), n.Index, k.Index)
-			}
-		}
-		seenNode[n] = true
-	})
+	c, err := rd.Cover(f, l.Label(f))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, s := range c.Steps {
+		for _, k := range s.Node.Kids {
+			if !seenNode[k] {
+				t.Fatalf("rule %s fired at node %d before its child %d", g.RuleName(int(s.Rule)), s.Node.Index, k.Index)
+			}
+		}
+		seenNode[s.Node] = true
+	}
+}
+
+// TestPremisePositions: every step's premises sit at smaller positions
+// and are the steps for exactly the right-hand side of its rule — the
+// chain rule's nonterminal at the same node, or each kid's nonterminal
+// at that kid — also where a DAG-shared combination is reached twice.
+// The leaf Reg[1] is shared: reduced first as addr (through the chain
+// rule addr: reg, so its node's latest step is the addr one), then
+// reached again as reg, whose step the lookup must find behind it.
+func TestPremisePositions(t *testing.T) {
+	d, l, rd := setup(t)
+	g := d.Grammar
+	b := ir.NewDAGBuilder(g)
+	a := b.Leaf("Reg", 1)
+	shared := b.Node("Plus", b.Leaf("Reg", 2), b.Leaf("Reg", 3))
+	b.Root(b.Node("Store", a, b.Node("Plus", a, shared)))
+	b.Root(b.Node("Store", b.Leaf("Reg", 4), b.Node("Load", shared)))
+	f := b.Finish()
+	c, err := rd.Cover(f, l.Label(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Release(c)
+	check := func(i int, k int, n *ir.Node, nt grammar.NT) {
+		p := c.Prems[c.Steps[i].Prem+int32(k)]
+		if int(p) >= i || c.Steps[p].Node != n || c.Steps[p].NT != nt {
+			t.Errorf("step %d premise %d at %d is n%d/%s, want n%d/%s before it",
+				i, k, p, c.Steps[p].Node.Index, g.NTName(c.Steps[p].NT), n.Index, g.NTName(nt))
+		}
+	}
+	for i, s := range c.Steps {
+		r := &g.Rules[s.Rule]
+		if r.IsChain {
+			check(i, 0, s.Node, r.ChainRHS)
+			continue
+		}
+		for k, kid := range s.Node.Kids {
+			check(i, k, kid, r.Kids[k])
+		}
+	}
+}
+
+// TestReleasedCoverPinsNoForest: a cover handed back to the pool keeps no
+// pointer into the forest it covered, neither in its steps nor in its
+// work stack, after a large forest and after a smaller one reusing the
+// grown buffers.
+func TestReleasedCoverPinsNoForest(t *testing.T) {
+	d, l, rd := setup(t)
+	g := d.Grammar
+	for _, depth := range []int{2000, 10} {
+		b := ir.NewBuilder(g)
+		n := b.Leaf("Reg", 1)
+		for i := 0; i < depth; i++ {
+			n = b.Node("Plus", n, b.Node("Load", b.Leaf("Reg", int64(i))))
+		}
+		f := b.SingleTree(b.Node("Store", b.Leaf("Reg", 0), n))
+		c, err := rd.Cover(f, l.Label(f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd.Release(c)
+		if left := reduce.PooledNodes(c); len(left) > 0 {
+			t.Fatalf("depth %d: released cover still holds %d node pointers", depth, len(left))
+		}
 	}
 }
 
@@ -254,7 +321,7 @@ func TestReduceMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := ir.MustParseTree(d.Grammar, "Store(Reg, Reg)")
-	if _, err := rd.Cover(f, l.Label(f), nil); err != nil {
+	if _, err := rd.Cover(f, l.Label(f)); err != nil {
 		t.Fatal(err)
 	}
 	if m.NodesReduced == 0 {

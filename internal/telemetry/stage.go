@@ -15,9 +15,8 @@ package telemetry
 
 // Stage names one segment of a request's life inside the compilation
 // server. The stages are strictly sequential per job — lease acquire,
-// queue wait, label, reduce (which interleaves emission callbacks),
-// emit finalization — so a Trace needs only one running mark to span
-// all of them.
+// queue wait, label, reduce, emit — so a Trace needs only one running
+// mark to span all of them.
 type Stage uint8
 
 const (
@@ -29,12 +28,11 @@ const (
 	StageQueue
 	// StageLabel is the labeling pass (automaton walk or DP).
 	StageLabel
-	// StageReduce is reduction over the labeling — including the
-	// emission visitor callbacks it interleaves, which cannot be timed
-	// separately without a per-node stamp the warm path can't afford.
+	// StageReduce is the reducer's walk over the labeling, which returns
+	// the selected cover as a reduction list.
 	StageReduce
-	// StageEmit is emission finalization: assembly interning and
-	// instruction accounting after the reducer returns.
+	// StageEmit is emission: the emitter's pass over the reduction list
+	// plus assembly interning.
 	StageEmit
 
 	// NumStages is the span-array size.
