@@ -150,7 +150,7 @@ func TestWarmCostOnlyCompileAllocs(t *testing.T) {
 }
 
 // TestWarmLabelReleaseAllocFree pins the engine-level contract: a warm
-// LabelStates whose labeling is handed back with ReleaseLabeling reuses
+// Label whose labeling is handed back with ReleaseLabeling reuses
 // every buffer.
 func TestWarmLabelReleaseAllocFree(t *testing.T) {
 	d := md.MustLoad("x86")
@@ -163,14 +163,14 @@ func TestWarmLabelReleaseAllocFree(t *testing.T) {
 		fs = append(fs, c.Forests()...)
 	}
 	for _, f := range fs {
-		e.ReleaseLabeling(e.LabelStates(f))
+		e.ReleaseLabeling(e.Label(f, nil, 0))
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, f := range fs {
-			e.ReleaseLabeling(e.LabelStates(f))
+			e.ReleaseLabeling(e.Label(f, nil, 0))
 		}
 	})
-	assertZeroAllocs(t, "warm LabelStates+Release (dynamic x86, whole corpus)", allocs)
+	assertZeroAllocs(t, "warm Label+Release (dynamic x86, whole corpus)", allocs)
 }
 
 // TestWarmHybridSelectCostAllocFree: the hybrid engine inherits both

@@ -1,20 +1,25 @@
 // Package repro is the public face of the reproduction of "Fast and
 // Flexible Instruction Selection with On-Demand Tree-Parsing Automata"
-// (Ertl, Casey, Gregg; PLDI 2006): BURS instruction selection with three
+// (Ertl, Casey, Gregg; PLDI 2006): BURS instruction selection with five
 // interchangeable labeling engines —
 //
 //   - KindDP: iburg/lburg-style dynamic programming at selection time
-//     (flexible, supports dynamic costs, slow per node);
-//   - KindStatic: a burg-style offline automaton (fast per node, no
-//     dynamic costs, tables built ahead of time);
+//     (flexible, supports dynamic costs, slow per node; the oracle);
+//   - KindStatic: a burg-style offline automaton generated at selector
+//     construction (fast per node, no dynamic costs);
 //   - KindOnDemand: the paper's contribution — the automaton is built
 //     lazily at selection time, giving (warm) static-automaton speed
 //     *and* dynamic costs;
-//   - KindOffline: tables compiled ahead of time by the offline generator
-//     (internal/gen, fronted by cmd/iselgen) and loaded at construction —
-//     zero construction cost under traffic, no dynamic costs. The fourth
-//     engine, registered exactly the way downstream experiments are told
-//     to plug variants in.
+//   - KindOffline (offline.go): the same static automaton, but its tables
+//     are compiled ahead of time by the offline generator (internal/gen,
+//     fronted by cmd/iselgen) and loaded at construction — zero
+//     construction cost under traffic, no dynamic costs;
+//   - KindHybrid (hybrid.go): offline tables answer the fixed operators
+//     and the on-demand automaton the dynamic-cost ones, in one state
+//     space.
+//
+// The last two are registered through RegisterEngine exactly the way
+// downstream experiments are told to plug variants in.
 //
 // Typical use (the v2 context-first surface):
 //
@@ -41,12 +46,12 @@
 //
 // # Engines and the Labeler interface
 //
-// Every engine implements reduce.Labeler — Label plus the
-// NumStates/NumTransitions/MemoryBytes table stats — and Selector
-// dispatches exclusively through that interface. Engine kinds are bound
-// by a constructor registry: RegisterEngine adds a fourth kind without
-// touching any Selector code, which is how downstream experiments plug in
-// engine variants.
+// Every engine implements reduce.Labeler — one Label(forest, counters,
+// workers) call, ReleaseLabeling, and the NumStates/NumTransitions/
+// MemoryBytes table stats — and Selector dispatches exclusively through
+// that interface. Engine kinds are bound by a constructor registry:
+// RegisterEngine adds a kind without touching any Selector code, which is
+// how downstream experiments plug in engine variants.
 //
 // # Concurrency
 //
@@ -125,8 +130,7 @@ const Inf = grammar.Inf
 type Kind string
 
 // The three engines of the paper's comparison. KindOffline (offline.go)
-// is the fourth registered kind: ahead-of-time tables loaded from
-// iselgen output.
+// and KindHybrid (hybrid.go) are registered beside them.
 const (
 	KindDP       Kind = "dp"
 	KindStatic   Kind = "static"
@@ -249,19 +253,6 @@ func (m *Machine) CompileMinC(src string) (*Unit, error) {
 	return frontend.Lower(prog, m.Grammar)
 }
 
-// CompileUnitParallel compiles every function of unit with sel across
-// workers goroutines sharing sel's one engine — the compilation-server
-// scenario: for the on-demand kind, every worker's misses warm the same
-// automaton.
-//
-// Deprecated: use sel.CompileUnit(ctx, unit, WithWorkers(workers)).
-func (m *Machine) CompileUnitParallel(sel *Selector, unit *Unit, workers int) ([]*Output, error) {
-	if sel.Machine() != m {
-		return nil, fmt.Errorf("repro: selector belongs to machine %q, not %q", sel.Machine().Name, m.Name)
-	}
-	return sel.CompileUnitParallel(unit, workers)
-}
-
 // Options tunes selector construction.
 type Options struct {
 	// Metrics, when non-nil, receives the engine's event counts.
@@ -375,9 +366,8 @@ type Output struct {
 
 // Label runs only the labeling pass and returns the labeling for use with
 // lower-level tooling. Most callers want Compile. The returned labeling is
-// caller-owned: engines that implement reduce.LabelingRecycler will reuse
-// its buffers if it is handed back via ReleaseLabeling, but keeping it is
-// always safe.
+// caller-owned: the engine reuses its buffers if it is handed back via
+// Labeler().ReleaseLabeling, but keeping it is always safe.
 func (s *Selector) Label(f *Forest) (reduce.Labeling, error) {
 	return s.labelChecked(f, nil, 0)
 }
@@ -387,9 +377,9 @@ func (s *Selector) Label(f *Forest) (reduce.Labeling, error) {
 // selection.
 type CompileOption func(*compileConfig)
 
-// compileConfig is the resolved option set of one call. The deprecated
-// shims construct it directly (no variadic slice, no closures), which is
-// what keeps the warm SelectCost path at exactly zero allocations.
+// compileConfig is the resolved option set of one call. CompileObserved
+// constructs it directly (no variadic slice, no closures), which keeps the
+// observed serving path at the bare Compile's allocations.
 type compileConfig struct {
 	counters *Counters
 	costOnly bool
@@ -430,9 +420,9 @@ func CostOnly() CompileOption {
 // CompileUnit spreads a unit's functions across the workers; Compile —
 // and CompileUnit when functions are scarcer than workers — fans the
 // labeling pass out inside each forest instead, labeling topological
-// levels of nodes in parallel when the engine supports it (see
-// reduce.ParallelLabeler; the automaton kinds do, DP does not). Results
-// are identical to sequential compilation either way.
+// levels of nodes in parallel (see reduce.Labeler; the automaton kinds do,
+// DP labels sequentially). Results are identical to sequential
+// compilation either way.
 func WithWorkers(n int) CompileOption {
 	return func(cfg *compileConfig) {
 		if n <= 0 {
@@ -444,8 +434,7 @@ func WithWorkers(n int) CompileOption {
 
 // Compile selects instructions for f: label, reduce, emit (emission
 // elided under CostOnly). It is the single forest-level entry point of the
-// v2 surface; the legacy CompileMetered/SelectCost/SelectCostMetered
-// methods are thin deprecated shims over it.
+// v2 surface; SelectCost is the allocation-free cost-only form.
 //
 // Cancellation is cooperative: ctx is checked before labeling and then at
 // reducer checkpoints every few hundred nodes, so a cancelled compile of
@@ -477,7 +466,7 @@ func resolveOpts(opts []CompileOption) compileConfig {
 
 func (s *Selector) compile(ctx context.Context, f *Forest, cfg *compileConfig) (*Output, error) {
 	if cfg.costOnly {
-		cost, err := s.selectCostTraced(ctx, f, cfg.counters, cfg.workers, cfg.trace)
+		cost, err := s.selectCost(ctx, f, cfg.counters, cfg.workers, cfg.trace)
 		if err != nil {
 			return nil, err
 		}
@@ -492,7 +481,7 @@ func (s *Selector) compile(ctx context.Context, f *Forest, cfg *compileConfig) (
 	if err != nil {
 		return nil, err
 	}
-	defer s.releaseLabeling(lab)
+	defer s.eng.ReleaseLabeling(lab)
 	// The reducer returns the cover as a list and the emitter walks it
 	// afterwards, so the two stages are stamped apart.
 	cov, err := s.rd.CoverContext(ctx, f, lab, cfg.counters)
@@ -509,20 +498,10 @@ func (s *Selector) compile(ctx context.Context, f *Forest, cfg *compileConfig) (
 	return out, nil
 }
 
-// selectCost is the shared cost-only path: label + reduce, no emitter and
-// no Output allocation, so a warm call allocates nothing at all.
-func (s *Selector) selectCost(ctx context.Context, f *Forest, m *Counters) (Cost, error) {
-	return s.selectCostWorkers(ctx, f, m, 0)
-}
-
-// selectCostWorkers is selectCost with optional level-parallel labeling.
-func (s *Selector) selectCostWorkers(ctx context.Context, f *Forest, m *Counters, workers int) (Cost, error) {
-	return s.selectCostTraced(ctx, f, m, workers, nil)
-}
-
-// selectCostTraced is the traced form: label and reduce stamps, no
-// emit stage (cost-only calls elide emission).
-func (s *Selector) selectCostTraced(ctx context.Context, f *Forest, m *Counters, workers int, tr *telemetry.Trace) (Cost, error) {
+// selectCost is the cost-only path: label and reduce (stamped on tr when
+// non-nil), no emitter and no Output allocation, so a warm call allocates
+// nothing at all.
+func (s *Selector) selectCost(ctx context.Context, f *Forest, m *Counters, workers int, tr *telemetry.Trace) (Cost, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -531,7 +510,7 @@ func (s *Selector) selectCostTraced(ctx context.Context, f *Forest, m *Counters,
 	if err != nil {
 		return 0, err
 	}
-	defer s.releaseLabeling(lab)
+	defer s.eng.ReleaseLabeling(lab)
 	cov, err := s.rd.CoverContext(ctx, f, lab, m)
 	tr.Mark(telemetry.StageReduce)
 	if err != nil {
@@ -556,70 +535,26 @@ func (s *Selector) labelChecked(f *Forest, m *Counters, workers int) (lab reduce
 			panic(r)
 		}
 	}()
-	return s.labelMetered(f, m, workers), nil
+	return s.eng.Label(f, m, workers), nil
 }
 
 // CompileObserved is Compile with per-call counter attribution and
-// trace stage stamps: the compilation server's hot path. Like the
-// deprecated shims it constructs its config directly — no variadic
-// slice, no option closures — which keeps the warm observed Compile at
-// exactly the same allocations as the bare one (its one *Output).
+// trace stage stamps: the compilation server's hot path. It constructs
+// its config directly — no variadic slice, no option closures — which
+// keeps the warm observed Compile at exactly the same allocations as the
+// bare one (its one *Output).
 // Either argument may be nil.
 func (s *Selector) CompileObserved(ctx context.Context, f *Forest, m *Counters, tr *Trace) (*Output, error) {
 	cfg := compileConfig{counters: m, trace: tr}
 	return s.compile(ctx, f, &cfg)
 }
 
-// CompileMetered is Compile with per-call counter attribution.
-//
-// Deprecated: use Compile(ctx, f, WithCounters(m)).
-func (s *Selector) CompileMetered(f *Forest, m *Counters) (*Output, error) {
-	return s.compile(context.Background(), f, &compileConfig{counters: m})
-}
-
 // SelectCost labels and reduces without emitting, returning only the
 // derivation cost. Warm, it allocates nothing: the labeling and the
-// reducer's working set are pooled.
-//
-// Deprecated: use Compile(ctx, f, CostOnly()) and read Output.Cost.
+// reducer's working set are pooled. Compile(ctx, f, CostOnly()) is the
+// same selection but allocates its *Output.
 func (s *Selector) SelectCost(f *Forest) (Cost, error) {
-	return s.selectCost(context.Background(), f, nil)
-}
-
-// SelectCostMetered is SelectCost with per-call counter attribution.
-//
-// Deprecated: use Compile(ctx, f, CostOnly(), WithCounters(m)).
-func (s *Selector) SelectCostMetered(f *Forest, m *Counters) (Cost, error) {
-	return s.selectCost(context.Background(), f, m)
-}
-
-// releaseLabeling hands a labeling that Compile obtained internally back
-// to the engine's pool, when the engine recycles labelings; for other
-// engines the GC reclaims it. Labelings returned to API callers (Label)
-// are never released here — they are caller-owned.
-func (s *Selector) releaseLabeling(lab reduce.Labeling) {
-	if rc, ok := s.eng.(reduce.LabelingRecycler); ok {
-		rc.ReleaseLabeling(lab)
-	}
-}
-
-// labelMetered labels through the engine's optional capabilities: with
-// workers > 1 and a reduce.ParallelLabeler engine, the forest is labeled
-// level-parallel; with a per-call sink and a MeteredLabeler engine,
-// events attribute to m; otherwise the plain sequential path runs against
-// the engine's configured sink.
-func (s *Selector) labelMetered(f *Forest, m *Counters, workers int) reduce.Labeling {
-	if workers > 1 {
-		if pl, ok := s.eng.(reduce.ParallelLabeler); ok {
-			return pl.LabelParallel(f, workers, m)
-		}
-	}
-	if m != nil {
-		if ml, ok := s.eng.(reduce.MeteredLabeler); ok {
-			return ml.LabelMetered(f, m)
-		}
-	}
-	return s.eng.Label(f)
+	return s.selectCost(context.Background(), f, nil, 0, nil)
 }
 
 // CompileUnit compiles every function of unit, returning one Output per
@@ -647,7 +582,7 @@ func (s *Selector) compileUnit(ctx context.Context, u *Unit, cfg *compileConfig)
 	// The per-function config: when the unit has fewer functions than
 	// requested workers — one big function is the common case — the surplus
 	// parallelism flows inward as level-parallel labeling of each forest
-	// (see reduce.ParallelLabeler) instead of going idle. With enough
+	// (see reduce.Labeler) instead of going idle. With enough
 	// functions to occupy every worker, inner compiles label sequentially:
 	// function-level parallelism already saturates the workers, and nested
 	// fan-out would just multiply goroutines.
@@ -701,17 +636,6 @@ func (s *Selector) compileUnit(ctx context.Context, u *Unit, cfg *compileConfig)
 		}
 	}
 	return outs, nil
-}
-
-// CompileUnitParallel compiles the functions of unit across workers
-// goroutines sharing this selector.
-//
-// Deprecated: use CompileUnit(ctx, u, WithWorkers(workers)).
-func (s *Selector) CompileUnitParallel(u *Unit, workers int) ([]*Output, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return s.compileUnit(context.Background(), u, &compileConfig{workers: workers})
 }
 
 // Snapshot is a point-in-time view of a selector's automaton warmth. The

@@ -89,7 +89,7 @@ func benchOnDemandBuild(b *testing.B, gname string) {
 			b.Fatal(err)
 		}
 		for _, f := range fs {
-			e.Label(f)
+			e.Label(f, nil, 0)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes), "ns/node")
@@ -121,7 +121,7 @@ func benchLabelDP(b *testing.B, gname string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, f := range fs {
-			l.Label(f)
+			l.Label(f, nil, 0)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes), "ns/node")
@@ -136,7 +136,7 @@ func benchLabelOnDemandWarm(b *testing.B, gname string) {
 		b.Fatal(err)
 	}
 	for _, f := range fs { // warm up
-		e.ReleaseLabeling(e.LabelStates(f))
+		e.ReleaseLabeling(e.Label(f, nil, 0))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -144,7 +144,7 @@ func benchLabelOnDemandWarm(b *testing.B, gname string) {
 		for _, f := range fs {
 			// Release keeps the warm path allocation-free: the labeling's
 			// buffers recycle through the engine's pool.
-			e.ReleaseLabeling(e.LabelStates(f))
+			e.ReleaseLabeling(e.Label(f, nil, 0))
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes), "ns/node")
@@ -169,7 +169,7 @@ func benchLabelStatic(b *testing.B, gname string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, f := range fs {
-			a.LabelStates(f)
+			a.Label(f, nil, 0)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes), "ns/node")
@@ -215,7 +215,7 @@ func BenchmarkOnDemandWarm(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, f := range fs {
-				eng.ReleaseLabeling(eng.LabelStates(f))
+				eng.ReleaseLabeling(eng.Label(f, nil, 0))
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes), "ns/node")
@@ -290,7 +290,7 @@ func benchCompile(b *testing.B, gname string, stripped bool) {
 	for i := 0; i < b.N; i++ {
 		for _, f := range fs {
 			em := emit.New(tmpl)
-			c, err := rd.Cover(f, e.Label(f))
+			c, err := rd.Cover(f, e.Label(f, nil, 0))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -322,13 +322,13 @@ func benchForceHash(b *testing.B, force bool) {
 		b.Fatal(err)
 	}
 	for _, f := range fs {
-		e.ReleaseLabeling(e.LabelStates(f))
+		e.ReleaseLabeling(e.Label(f, nil, 0))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, f := range fs {
-			e.ReleaseLabeling(e.LabelStates(f))
+			e.ReleaseLabeling(e.Label(f, nil, 0))
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes), "ns/node")
@@ -357,7 +357,7 @@ func labelPool(e *core.Engine, fs []*ir.Forest, workers int) {
 				if j >= len(fs) {
 					return
 				}
-				e.ReleaseLabeling(e.LabelStates(fs[j]))
+				e.ReleaseLabeling(e.Label(fs[j], nil, 0))
 			}
 		}()
 	}
@@ -373,7 +373,7 @@ func benchParallelLabel(b *testing.B, gname string, workers int) {
 		b.Fatal(err)
 	}
 	for _, f := range fs { // warm up
-		e.Label(f)
+		e.Label(f, nil, 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -435,11 +435,11 @@ func benchLevelParallelLabel(b *testing.B, gname string, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e.ReleaseLabeling(e.LabelStates(f)) // warm: every state and transition built
+	e.ReleaseLabeling(e.Label(f, nil, 0)) // warm: every state and transition built
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.ReleaseLabeling(e.LabelStatesParallel(f, workers, nil))
+		e.ReleaseLabeling(e.Label(f, nil, workers))
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*f.NumNodes()), "ns/node")
 }

@@ -74,8 +74,8 @@ func checkStaticAgainstDP(t *testing.T, g *grammar.Grammar, f *ir.Forest) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := l.LabelResult(f)
-	got := a.LabelStates(f)
+	want := l.Label(f, nil, 0).(*dp.Result)
+	got := a.Label(f, nil, 0).(*Labeling)
 	for _, n := range f.Nodes {
 		s := got.StateAt(n)
 		row := want.Costs[n.Index]
@@ -116,8 +116,8 @@ func TestStaticMatchesDPQuick(t *testing.T) {
 	l, _ := dp.New(g, nil, nil)
 	prop := func(seed int64, trees uint8) bool {
 		f := ir.RandomForest(g, ir.RandomConfig{Seed: seed, Trees: int(trees%16) + 1, MaxDepth: 7})
-		want := l.LabelResult(f)
-		got := a.LabelStates(f)
+		want := l.Label(f, nil, 0).(*dp.Result)
+		got := a.Label(f, nil, 0).(*Labeling)
 		for _, n := range f.Nodes {
 			for nt := range want.Costs[n.Index] {
 				if want.Rules[n.Index][nt] != got.StateAt(n).Rule[nt] {
@@ -291,7 +291,7 @@ func TestLabelingMetrics(t *testing.T) {
 	f := ir.RandomForest(g, ir.RandomConfig{Seed: 3, Trees: 10, MaxDepth: 6})
 	m := &metrics.Counters{}
 	a.SetMetrics(m)
-	a.LabelStates(f)
+	a.Label(f, nil, 0)
 	if m.TableProbes != int64(f.NumNodes()) {
 		t.Errorf("probes = %d, want %d (one per node)", m.TableProbes, f.NumNodes())
 	}

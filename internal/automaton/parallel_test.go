@@ -83,7 +83,7 @@ func TestStaticParallelLabel(t *testing.T) {
 	want := make([]*Labeling, workers)
 	for i := range forests {
 		forests[i] = ir.RandomForest(g, ir.RandomConfig{Seed: int64(50 + i), Trees: 100, MaxDepth: 7})
-		want[i] = a.LabelStates(forests[i])
+		want[i] = a.Label(forests[i], nil, 0).(*Labeling)
 	}
 	var wg sync.WaitGroup
 	got := make([]*Labeling, workers)
@@ -91,7 +91,7 @@ func TestStaticParallelLabel(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = a.LabelStates(forests[i])
+			got[i] = a.Label(forests[i], nil, 0).(*Labeling)
 		}(i)
 	}
 	wg.Wait()
@@ -120,9 +120,9 @@ func TestStaticLevelParallel(t *testing.T) {
 		}
 		for seed := int64(0); seed < 4; seed++ {
 			f := ir.RandomForest(g, ir.RandomConfig{Seed: seed, Trees: 1500, MaxDepth: 8, Share: seed%2 == 0})
-			want := a.LabelStates(f)
+			want := a.Label(f, nil, 0).(*Labeling)
 			for _, workers := range []int{2, 4, 8} {
-				got := a.LabelStatesParallel(f, workers, nil)
+				got := a.Label(f, nil, workers).(*Labeling)
 				for _, n := range f.Nodes {
 					if want.StateAt(n) != got.StateAt(n) {
 						t.Fatalf("expand=%v seed=%d workers=%d node %d: level-parallel label differs",

@@ -1,6 +1,7 @@
 package automaton
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 
@@ -30,7 +31,7 @@ type Static struct {
 	states   []*State // table snapshot, frozen at generation time
 	m        *metrics.Counters
 	deltaCap grammar.Cost
-	labels   sync.Pool // *Labeling, recycled across LabelStates calls
+	labels   sync.Pool // *Labeling, recycled across Label calls
 
 	leaf []int32 // [op] -> state id for arity-0 ops; -1 otherwise
 
@@ -524,35 +525,41 @@ func (a *Static) MemoryBytes() int {
 	return b
 }
 
-// LabelStates assigns a state to every node of f by pure table lookup: the
-// offline automaton's fast path. Events are recorded against the counters
-// configured at generation (StaticConfig.Metrics) or via SetMetrics.
-// The labeling comes from an internal pool; callers that want its buffers
-// recycled hand it back with ReleaseLabeling when done.
-func (a *Static) LabelStates(f *ir.Forest) *Labeling {
-	return a.LabelStatesMetered(f, nil)
-}
-
-// LabelStatesMetered is LabelStates with per-call counter attribution:
-// events are counted into m instead of the automaton's configured sink
-// (nil falls back to it). The whole pass works on dense state ids — the
+// Label implements reduce.Labeler: it assigns a state to every node of f
+// by pure table lookup — the offline automaton's fast path — and returns a
+// *Labeling from the automaton's pool. Events are counted into m, or into
+// the sink configured at generation (StaticConfig.Metrics) or via
+// SetMetrics when m is nil. The whole pass works on dense state ids — the
 // representer projections are already id-indexed, so no state pointer is
 // touched until the reducer resolves one.
-func (a *Static) LabelStatesMetered(f *ir.Forest, m *metrics.Counters) *Labeling {
-	if m == nil {
-		m = a.m
-	}
+//
+// With workers > 1 and a forest of at least reduce.MinParallelSpan nodes,
+// topological levels are labeled across up to workers goroutines. The
+// tables are immutable after generation, so per-node labeling from many
+// goroutines needs no synchronization at all — the only ordering
+// requirement is child-before-parent, which the level barrier provides.
+func (a *Static) Label(f *ir.Forest, m *metrics.Counters, workers int) reduce.Labeling {
+	// sink is assigned once, so the level-parallel closure copies it instead
+	// of moving it to the heap on every call.
+	sink := cmp.Or(m, a.m)
 	lab := a.labels.Get().(*Labeling)
 	ids := lab.Reuse(len(f.Nodes))
-	if a.dir1 != nil {
+	switch {
+	case workers > 1 && len(f.Nodes) >= reduce.MinParallelSpan:
+		reduce.LabelLevels(f, workers, func(idx int32) {
+			sink.CountNode()
+			sink.CountProbe(false)
+			ids[idx] = a.labelNode(f.Nodes[idx], ids)
+		})
+	case a.dir1 != nil:
 		// Expanded direct tables: one flat load per node, no projections.
 		// Index arithmetic is int: an int32 product would wrap for state
 		// counts past √2³¹ (Expand's bound keeps us far below, but the
 		// index math must not be what relies on that).
 		stride := len(a.states)
 		for i, n := range f.Nodes {
-			m.CountNode()
-			m.CountProbe(false)
+			sink.CountNode()
+			sink.CountProbe(false)
 			op := n.Op
 			switch len(n.Kids) {
 			case 0:
@@ -563,27 +570,50 @@ func (a *Static) LabelStatesMetered(f *ir.Forest, m *metrics.Counters) *Labeling
 				ids[i] = a.dir2[op][int(ids[n.Kids[0].Index])*stride+int(ids[n.Kids[1].Index])]
 			}
 		}
-		lab.BindStates(a.states)
-		return lab
-	}
-	for i, n := range f.Nodes {
-		m.CountNode()
-		m.CountProbe(false)
-		op := n.Op
-		switch len(n.Kids) {
-		case 0:
-			ids[i] = a.leaf[op]
-		case 1:
-			rep := a.mu[op][0][ids[n.Kids[0].Index]]
-			ids[i] = a.t1[op][rep]
-		default:
-			r0 := a.mu[op][0][ids[n.Kids[0].Index]]
-			r1 := a.mu[op][1][ids[n.Kids[1].Index]]
-			ids[i] = a.t2[op][r0*a.nreps[op][1]+r1]
+	default:
+		for i, n := range f.Nodes {
+			sink.CountNode()
+			sink.CountProbe(false)
+			op := n.Op
+			switch len(n.Kids) {
+			case 0:
+				ids[i] = a.leaf[op]
+			case 1:
+				rep := a.mu[op][0][ids[n.Kids[0].Index]]
+				ids[i] = a.t1[op][rep]
+			default:
+				r0 := a.mu[op][0][ids[n.Kids[0].Index]]
+				r1 := a.mu[op][1][ids[n.Kids[1].Index]]
+				ids[i] = a.t2[op][r0*a.nreps[op][1]+r1]
+			}
 		}
 	}
 	lab.BindStates(a.states)
 	return lab
+}
+
+// labelNode is one node's table lookup from its children's state ids —
+// the per-node step of Label's level-parallel path, through the expanded
+// direct tables when present and the compressed ones otherwise. (The
+// sequential loops inline the same lookups.)
+func (a *Static) labelNode(n *ir.Node, ids []int32) int32 {
+	op := n.Op
+	switch len(n.Kids) {
+	case 0:
+		return a.leaf[op]
+	case 1:
+		k := ids[n.Kids[0].Index]
+		if a.dir1 != nil {
+			return a.dir1[op][k]
+		}
+		return a.t1[op][a.mu[op][0][k]]
+	default:
+		l, r := ids[n.Kids[0].Index], ids[n.Kids[1].Index]
+		if a.dir1 != nil {
+			return a.dir2[op][int(l)*len(a.states)+int(r)]
+		}
+		return a.t2[op][a.mu[op][0][l]*a.nreps[op][1]+a.mu[op][1][r]]
+	}
 }
 
 // ReleaseLabeling implements reduce.LabelingRecycler: it returns a
@@ -593,12 +623,4 @@ func (a *Static) ReleaseLabeling(lab reduce.Labeling) {
 	if l, ok := lab.(*Labeling); ok && l != nil {
 		a.labels.Put(l)
 	}
-}
-
-// Label implements reduce.Labeler.
-func (a *Static) Label(f *ir.Forest) reduce.Labeling { return a.LabelStates(f) }
-
-// LabelMetered implements reduce.MeteredLabeler.
-func (a *Static) LabelMetered(f *ir.Forest, m *metrics.Counters) reduce.Labeling {
-	return a.LabelStatesMetered(f, m)
 }

@@ -64,7 +64,7 @@ func RunAblationHash(gname string) (*Table, error) {
 		}
 		for _, u := range units {
 			for _, f := range u.forests {
-				e.Label(f)
+				e.Label(f, nil, 0)
 			}
 		}
 		m.Reset()
@@ -73,7 +73,7 @@ func RunAblationHash(gname string) (*Table, error) {
 		for p := 0; p < passes; p++ {
 			for _, u := range units {
 				for _, f := range u.forests {
-					e.ReleaseLabeling(e.LabelStates(f))
+					e.ReleaseLabeling(e.Label(f, nil, 0))
 				}
 			}
 		}

@@ -146,7 +146,7 @@ func RunE2() ([]E2Row, *Table, error) {
 		}
 		for _, u := range loadCorpus(fixed) {
 			for _, f := range u.forests {
-				eFixed.Label(f)
+				eFixed.Label(f, nil, 0)
 			}
 		}
 		// On-demand over the real grammar with dynamic rules.
@@ -157,7 +157,7 @@ func RunE2() ([]E2Row, *Table, error) {
 		units := loadCorpus(d.Grammar)
 		for _, u := range units {
 			for _, f := range u.forests {
-				eDyn.Label(f)
+				eDyn.Label(f, nil, 0)
 			}
 		}
 		row := E2Row{
@@ -205,7 +205,7 @@ func RunE3(gname string) ([]E3Point, *Table, error) {
 	prev := 0
 	for _, u := range loadCorpus(d.Grammar) {
 		for _, f := range u.forests {
-			e.Label(f)
+			e.Label(f, nil, 0)
 			nodes += f.NumNodes()
 		}
 		p := E3Point{Program: u.name, Nodes: nodes, States: e.NumStates(), Trans: e.NumTransitions()}
@@ -268,7 +268,7 @@ func RunE4(gname string) ([]E4Row, *Table, error) {
 	}
 	for _, u := range units {
 		for _, f := range u.forests {
-			mWarmEngine.Label(f)
+			mWarmEngine.Label(f, nil, 0)
 		}
 	}
 
@@ -282,7 +282,7 @@ func RunE4(gname string) ([]E4Row, *Table, error) {
 		// DP work.
 		dpm.Reset()
 		for _, f := range u.forests {
-			dpl.Label(f)
+			dpl.Label(f, nil, 0)
 		}
 		dpWork := dpm.PerNode()
 
@@ -293,7 +293,7 @@ func RunE4(gname string) ([]E4Row, *Table, error) {
 			return nil, nil, err
 		}
 		for _, f := range u.forests {
-			cold.Label(f)
+			cold.Label(f, nil, 0)
 		}
 		coldWork := cm.PerNode()
 
@@ -302,7 +302,7 @@ func RunE4(gname string) ([]E4Row, *Table, error) {
 		warm := mWarmEngine
 		warm.SetMetrics(wm)
 		for _, f := range u.forests {
-			warm.Label(f)
+			warm.Label(f, nil, 0)
 		}
 		warmWork := wm.PerNode()
 
@@ -310,7 +310,7 @@ func RunE4(gname string) ([]E4Row, *Table, error) {
 		sm := &metrics.Counters{}
 		static.SetMetrics(sm)
 		for _, f := range fixedUnits[i].forests {
-			static.LabelStates(f)
+			static.Label(f, nil, 0)
 		}
 		static.SetMetrics(nil)
 		staticWork := sm.PerNode()
@@ -322,14 +322,14 @@ func RunE4(gname string) ([]E4Row, *Table, error) {
 		dpStart := time.Now()
 		for p := 0; p < passes; p++ {
 			for _, f := range u.forests {
-				dpl.ReleaseLabeling(dpl.Label(f))
+				dpl.ReleaseLabeling(dpl.Label(f, nil, 0))
 			}
 		}
 		dpNs := float64(time.Since(dpStart).Nanoseconds()) / float64(passes*u.nodes)
 		odStart := time.Now()
 		for p := 0; p < passes; p++ {
 			for _, f := range u.forests {
-				warm.ReleaseLabeling(warm.LabelStates(f))
+				warm.ReleaseLabeling(warm.Label(f, nil, 0))
 			}
 		}
 		odNs := float64(time.Since(odStart).Nanoseconds()) / float64(passes*u.nodes)
@@ -418,7 +418,7 @@ func RunE6() ([]E6Row, *Table, error) {
 		// Warm up, then measure the warm pass; verify per-forest costs.
 		for _, u := range units {
 			for _, f := range u.forests {
-				e.Label(f)
+				e.Label(f, nil, 0)
 			}
 		}
 		om.Reset()
@@ -426,9 +426,9 @@ func RunE6() ([]E6Row, *Table, error) {
 		checked := 0
 		for _, u := range units {
 			for _, f := range u.forests {
-				odLab := e.Label(f)
+				odLab := e.Label(f, nil, 0)
 				dpm.Reset()
-				dpLab := dpl.Label(f)
+				dpLab := dpl.Label(f, nil, 0)
 				dOD, err := rd.Trace(f, odLab)
 				if err != nil {
 					return nil, nil, err
@@ -450,7 +450,7 @@ func RunE6() ([]E6Row, *Table, error) {
 		dpm.Reset()
 		for _, u := range units {
 			for _, f := range u.forests {
-				dpl.Label(f)
+				dpl.Label(f, nil, 0)
 			}
 		}
 
@@ -464,7 +464,7 @@ func RunE6() ([]E6Row, *Table, error) {
 		}
 		for _, u := range loadCorpus(fixed) {
 			for _, f := range u.forests {
-				eFixed.Label(f)
+				eFixed.Label(f, nil, 0)
 			}
 		}
 
@@ -539,7 +539,7 @@ func RunE7(gname string) ([]E7Row, *Table, error) {
 		var costDyn, costFixed grammar.Cost
 		instrsDyn, instrsFixed := 0, 0
 		for _, f := range u.forests {
-			_, n, c, err := emit.Emit(rd, f, dpl.Label(f), g)
+			_, n, c, err := emit.Emit(rd, f, dpl.Label(f, nil, 0), g)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -547,7 +547,7 @@ func RunE7(gname string) ([]E7Row, *Table, error) {
 			instrsDyn += n
 		}
 		for _, f := range fixedUnits[i].forests {
-			_, n, c, err := emit.Emit(rdF, f, dplF.Label(f), fixed)
+			_, n, c, err := emit.Emit(rdF, f, dplF.Label(f, nil, 0), fixed)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -606,7 +606,7 @@ func RunE8() ([]E8Row, *Table, error) {
 		}
 		for _, u := range loadCorpus(d.Grammar) {
 			for _, f := range u.forests {
-				e.Label(f)
+				e.Label(f, nil, 0)
 			}
 		}
 		row := E8Row{

@@ -25,7 +25,7 @@ type EPRow struct {
 
 	// Level-parallel columns: the same worker count applied *inside* one
 	// wide forest (topological levels fanned across goroutines, barrier
-	// between levels — reduce.ParallelLabeler) instead of across forests.
+	// between levels — Label with workers > 1) instead of across forests.
 	LevelNodes     int // nodes of the wide forest labeled per pass
 	LevelNsPerNode float64
 	LevelSpeedup   float64 // vs the 1-worker level configuration
@@ -61,7 +61,7 @@ func RunParallel(gname string, workerCounts []int, passes int) ([]EPRow, *Table,
 		return nil, nil, err
 	}
 	for _, f := range fs { // warm up: the measured passes are pure fast path
-		e.Label(f)
+		e.Label(f, nil, 0)
 	}
 	// The level-parallel measurement needs one forest wide enough that its
 	// topological levels carry hundreds of independent nodes — intra-forest
@@ -69,7 +69,7 @@ func RunParallel(gname string, workerCounts []int, passes int) ([]EPRow, *Table,
 	wide := ir.RandomForest(d.Grammar, ir.RandomConfig{
 		Seed: 7, Trees: 4000, MaxDepth: 8, MaxLeafVal: 3,
 	})
-	e.ReleaseLabeling(e.LabelStates(wide)) // warm the wide forest's transitions too
+	e.ReleaseLabeling(e.Label(wide, nil, 0)) // warm the wide forest's transitions too
 
 	t := &Table{
 		ID: "EP",
@@ -88,7 +88,7 @@ func RunParallel(gname string, workerCounts []int, passes int) ([]EPRow, *Table,
 
 		start = time.Now()
 		for p := 0; p < passes; p++ {
-			e.ReleaseLabeling(e.LabelStatesParallel(wide, workers, nil))
+			e.ReleaseLabeling(e.Label(wide, nil, workers))
 		}
 		lvlPer[i] = float64(time.Since(start).Nanoseconds()) / float64(passes*wide.NumNodes())
 	}
@@ -118,11 +118,11 @@ func RunParallel(gname string, workerCounts []int, passes int) ([]EPRow, *Table,
 
 // labelAll labels every forest once, fanned out over `workers` goroutines
 // pulling from a shared atomic index — the same worker-pool shape as
-// Selector.CompileUnitParallel.
+// Selector.CompileUnit with WithWorkers.
 func labelAll(e *core.Engine, fs []*ir.Forest, workers int) {
 	if workers <= 1 {
 		for _, f := range fs {
-			e.ReleaseLabeling(e.LabelStates(f))
+			e.ReleaseLabeling(e.Label(f, nil, 0))
 		}
 		return
 	}
@@ -137,7 +137,7 @@ func labelAll(e *core.Engine, fs []*ir.Forest, workers int) {
 				if i >= len(fs) {
 					return
 				}
-				e.ReleaseLabeling(e.LabelStates(fs[i]))
+				e.ReleaseLabeling(e.Label(fs[i], nil, 0))
 			}
 		}()
 	}

@@ -273,12 +273,12 @@ func RunPerf(passes int) (*PerfReport, *Table, error) {
 		}
 		labelPass := func() {
 			for _, f := range fs {
-				e.ReleaseLabeling(e.LabelStates(f))
+				e.ReleaseLabeling(e.Label(f, nil, 0))
 			}
 		}
 		selectPass := func() {
 			for _, f := range fs {
-				lab := e.LabelStates(f)
+				lab := e.Label(f, nil, 0)
 				c, err := rd.Cover(f, lab)
 				if err != nil {
 					panic(err) // corpus is known-derivable; see the tests
@@ -310,7 +310,7 @@ func RunPerf(passes int) (*PerfReport, *Table, error) {
 		telLabelPass := func() {
 			tr := tlPool.Get(name, string(repro.KindOnDemand), "perf")
 			for _, f := range fs {
-				e.ReleaseLabeling(e.LabelStates(f))
+				e.ReleaseLabeling(e.Label(f, nil, 0))
 				tr.Mark(telemetry.StageLabel)
 			}
 			tr.Finish()
@@ -471,7 +471,7 @@ func measureOffline(g *grammar.Grammar, passes int, row *PerfRow) (func(), error
 	}
 	selectPass := func() {
 		for _, f := range fs {
-			lab := a.LabelStates(f)
+			lab := a.Label(f, nil, 0)
 			c, err := rd.Cover(f, lab)
 			if err != nil {
 				panic(err) // corpus is known-derivable; see the tests
@@ -522,7 +522,7 @@ func measureHybrid(g *grammar.Grammar, env grammar.DynEnv, fs []*ir.Forest, node
 	}
 	selectPass := func() {
 		for _, f := range fs {
-			lab := h.LabelStates(f)
+			lab := h.Label(f, nil, 0)
 			c, err := rd.Cover(f, lab)
 			if err != nil {
 				panic(err) // corpus is known-derivable; see the tests
@@ -573,7 +573,7 @@ func measureHybrid(g *grammar.Grammar, env grammar.DynEnv, fs []*ir.Forest, node
 	}
 	fixedPass := func() {
 		for _, f := range ffs {
-			lab := hF.LabelStates(f)
+			lab := hF.Label(f, nil, 0)
 			c, err := rdF.Cover(f, lab)
 			if err != nil {
 				panic(err) // corpus is known-derivable; see the tests

@@ -74,11 +74,12 @@
 // fresh engine). Metrics counters are themselves race-safe (atomic adds),
 // so one Counters sink can instrument a parallel session. For per-caller
 // accounting — the compilation server attributes work to clients —
-// LabelStatesMetered counts one call's events into a caller-supplied
-// sink instead of the engine's own.
+// Label counts one call's events into a caller-supplied sink instead of
+// the engine's own.
 package core
 
 import (
+	"cmp"
 	"sync"
 	"sync/atomic"
 
@@ -134,8 +135,7 @@ type binGrid struct {
 // Label calls — exactly the JIT scenario the paper targets: the automaton
 // warms up as the compiler runs, and per-node labeling cost converges to a
 // table lookup. Engines are safe for concurrent labeling (see the package
-// documentation for the contract). Engine implements reduce.Labeler,
-// reduce.MeteredLabeler and reduce.LabelingRecycler.
+// documentation for the contract). Engine implements reduce.Labeler.
 type Engine struct {
 	g        *grammar.Grammar
 	dynFns   []grammar.DynFunc
@@ -243,50 +243,46 @@ func (e *Engine) unlockAll() {
 	}
 }
 
-// LabelStates assigns a state to every node of f (topological order, so
-// DAGs are covered), constructing missing states and transitions on
-// demand. The labeling comes from an internal pool: hand it back with
-// ReleaseLabeling when done to keep the warm path allocation-free, or
-// keep it and let the GC have it eventually.
-func (e *Engine) LabelStates(f *ir.Forest) *automaton.Labeling {
-	return e.LabelStatesMetered(f, nil)
-}
-
-// LabelStatesMetered is LabelStates with per-call counter attribution:
-// every event of this one call — fast-path probes, misses, dynamic
-// evaluations, state constructions — is counted into m instead of the
-// engine's configured sink. A nil m falls back to the engine sink. This is
-// the metrics hook the compilation server uses to account one shared warm
-// engine's work to individual clients.
-func (e *Engine) LabelStatesMetered(f *ir.Forest, m *metrics.Counters) *automaton.Labeling {
-	if m == nil {
-		m = e.m
-	}
+// Label implements reduce.Labeler: it assigns a state to every node of f
+// (topological order, so DAGs are covered), constructing missing states
+// and transitions on demand, and returns an *automaton.Labeling from the
+// engine's pool. Every event of the call — fast-path probes, misses,
+// dynamic evaluations, state constructions — is counted into m, or into
+// the engine's configured sink when m is nil.
+//
+// With workers > 1 and a forest of at least reduce.MinParallelSpan
+// nodes, topological levels are labeled across up to workers goroutines
+// against the shared tables. The fast path is lock-free and the slow path
+// per-operator-locked (see the package documentation), so concurrent
+// labelNode calls on independent nodes are exactly the multi-client
+// serving scenario the engine already supports — level parallelism just
+// applies it inside one forest.
+func (e *Engine) Label(f *ir.Forest, m *metrics.Counters, workers int) reduce.Labeling {
+	// sink is assigned once, so the level-parallel closure copies it instead
+	// of moving it to the heap on every call.
+	sink := cmp.Or(m, e.m)
 	lab := e.labels.Get().(*automaton.Labeling)
 	ids := lab.Reuse(len(f.Nodes))
-	for i, n := range f.Nodes {
-		ids[i] = e.labelNode(n, ids, m)
+	if workers > 1 && len(f.Nodes) >= reduce.MinParallelSpan {
+		reduce.LabelLevels(f, workers, func(idx int32) {
+			ids[idx] = e.labelNode(f.Nodes[idx], ids, sink)
+		})
+	} else {
+		for i, n := range f.Nodes {
+			ids[i] = e.labelNode(n, ids, sink)
+		}
 	}
 	lab.Bind(e.table)
 	return lab
 }
 
 // ReleaseLabeling implements reduce.LabelingRecycler: it returns a
-// labeling obtained from LabelStates to the pool so the next call reuses
-// its buffers. The labeling must not be used afterwards.
+// labeling obtained from Label to the pool so the next call reuses its
+// buffers. The labeling must not be used afterwards.
 func (e *Engine) ReleaseLabeling(lab reduce.Labeling) {
 	if l, ok := lab.(*automaton.Labeling); ok && l != nil {
 		e.labels.Put(l)
 	}
-}
-
-// Label implements reduce.Labeler; see LabelStates for the concrete
-// per-node state assignment.
-func (e *Engine) Label(f *ir.Forest) reduce.Labeling { return e.LabelStates(f) }
-
-// LabelMetered implements reduce.MeteredLabeler.
-func (e *Engine) LabelMetered(f *ir.Forest, m *metrics.Counters) reduce.Labeling {
-	return e.LabelStatesMetered(f, m)
 }
 
 // LabelNode labels one node whose children are already labeled in ids

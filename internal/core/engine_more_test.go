@@ -26,7 +26,7 @@ func TestFixedGrammarNoDynWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := ir.RandomForest(g, ir.RandomConfig{Seed: 4, Trees: 100, MaxDepth: 7})
-	e.Label(f)
+	e.Label(f, nil, 0)
 	if m.DynEvals != 0 {
 		t.Errorf("dyn evals = %d on a fixed grammar", m.DynEvals)
 	}
@@ -50,7 +50,7 @@ func TestForceHashUsesNoDenseTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := ir.RandomForest(g, ir.RandomConfig{Seed: 4, Trees: 50, MaxDepth: 6})
-	e.Label(f)
+	e.Label(f, nil, 0)
 	for op := range e.un {
 		if e.leaf[op].Load() >= 0 || e.un[op].Load() != nil || e.bin[op].Load() != nil {
 			t.Fatalf("dense table populated for op %s under ForceHash", g.OpName(grammar.OpID(op)))
@@ -94,17 +94,17 @@ stmt: Asgn(reg, reg) (1)
 					t.Fatal("expected the dynamic-cost panic to propagate")
 				}
 			}()
-			e.Label(bad)
+			e.Label(bad, nil, 0)
 		}()
 	}
-	lab := e.LabelStates(good)
+	lab := e.Label(good, nil, 0)
 	if lab.RuleAt(good.Roots[0], g.Start) < 0 {
 		t.Fatal("engine cannot label after contained panics")
 	}
 	e.ReleaseLabeling(lab)
-	e.ReleaseLabeling(e.LabelStates(good)) // fully warm
+	e.ReleaseLabeling(e.Label(good, nil, 0)) // fully warm
 	allocs := testing.AllocsPerRun(50, func() {
-		e.ReleaseLabeling(e.LabelStates(good))
+		e.ReleaseLabeling(e.Label(good, nil, 0))
 	})
 	t.Logf("warm dynamic label after panics: %.2f allocs/op", allocs)
 	if !raceEnabled && allocs != 0 {
@@ -126,8 +126,8 @@ func TestDeltaCapMatchesDefaultOnRealGrammar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l1 := e1.LabelStates(f)
-	l2 := e2.LabelStates(f)
+	l1 := e1.Label(f, nil, 0).(*automaton.Labeling)
+	l2 := e2.Label(f, nil, 0).(*automaton.Labeling)
 	for _, n := range f.Nodes {
 		for nt := 0; nt < d.Grammar.NumNonterms(); nt++ {
 			if l1.StateAt(n).Rule[nt] != l2.StateAt(n).Rule[nt] {
@@ -147,7 +147,7 @@ func TestEnginesIndependent(t *testing.T) {
 	e1, _ := New(d.Grammar, d.Env, Config{})
 	e2, _ := New(d.Grammar, d.Env, Config{})
 	f := ir.MustParseTree(d.Grammar, "Store(Reg, Reg)")
-	e1.Label(f)
+	e1.Label(f, nil, 0)
 	if e2.NumStates() != 0 || e2.NumTransitions() != 0 {
 		t.Error("engines share state")
 	}
@@ -172,8 +172,8 @@ x: U(x) (1)
 	// Touch leaves in an order that makes U's first dense index nonzero.
 	for _, src := range []string{"U(C)", "U(B)", "U(A)", "U(U(U(C)))"} {
 		f := ir.MustParseTree(g, src)
-		got := e.LabelStates(f)
-		want := l.LabelResult(f)
+		got := e.Label(f, nil, 0).(*automaton.Labeling)
+		want := l.Label(f, nil, 0).(*dp.Result)
 		for _, n := range f.Nodes {
 			for nt := 0; nt < g.NumNonterms(); nt++ {
 				if want.Rules[n.Index][nt] != got.StateAt(n).Rule[nt] {
@@ -203,7 +203,7 @@ func TestOnDemandSaturatesTinyGrammar(t *testing.T) {
 	}
 	// Deep random forests over a 4-operator grammar cover everything.
 	for seed := int64(0); seed < 30; seed++ {
-		e.Label(ir.RandomForest(g, ir.RandomConfig{Seed: seed, Trees: 80, MaxDepth: 9}))
+		e.Label(ir.RandomForest(g, ir.RandomConfig{Seed: seed, Trees: 80, MaxDepth: 9}), nil, 0)
 	}
 	if e.NumStates() != full.NumStates() {
 		t.Errorf("saturated on-demand has %d states, full automaton %d",
@@ -216,7 +216,7 @@ func TestMemoryGrowsMonotonically(t *testing.T) {
 	e, _ := New(d.Grammar, d.Env, Config{})
 	prev := e.MemoryBytes()
 	for seed := int64(0); seed < 5; seed++ {
-		e.Label(ir.RandomForest(d.Grammar, ir.RandomConfig{Seed: seed, Trees: 30, MaxDepth: 6}))
+		e.Label(ir.RandomForest(d.Grammar, ir.RandomConfig{Seed: seed, Trees: 30, MaxDepth: 6}), nil, 0)
 		cur := e.MemoryBytes()
 		if cur < prev {
 			t.Fatalf("memory shrank: %d -> %d", prev, cur)

@@ -25,7 +25,7 @@ func checkAgainstDP(t *testing.T, d md.Desc, f *ir.Forest, cfg Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareLabelings(t, d.Grammar, f, l.LabelResult(f), e.LabelStates(f))
+	compareLabelings(t, d.Grammar, f, l.Label(f, nil, 0).(*dp.Result), e.Label(f, nil, 0).(*automaton.Labeling))
 }
 
 func compareLabelings(t *testing.T, g *grammar.Grammar, f *ir.Forest, want *dp.Result, got *automaton.Labeling) {
@@ -93,8 +93,8 @@ func TestMatchesDPQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want := l.LabelResult(f)
-		got := e.LabelStates(f)
+		want := l.Label(f, nil, 0).(*dp.Result)
+		got := e.Label(f, nil, 0).(*automaton.Labeling)
 		for _, n := range f.Nodes {
 			s := got.StateAt(n)
 			for nt := range want.Costs[n.Index] {
@@ -121,13 +121,13 @@ func TestWarmupConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := ir.RandomForest(d.Grammar, ir.RandomConfig{Seed: 21, Trees: 500, MaxDepth: 8})
-	e.LabelStates(f)
+	e.Label(f, nil, 0)
 	states, trans := e.NumStates(), e.NumTransitions()
 	if states == 0 || trans == 0 {
 		t.Fatal("nothing materialized")
 	}
 	m.Reset()
-	e.LabelStates(f)
+	e.Label(f, nil, 0)
 	if e.NumStates() != states || e.NumTransitions() != trans {
 		t.Errorf("relabeling grew the automaton: %d->%d states, %d->%d transitions",
 			states, e.NumStates(), trans, e.NumTransitions())
@@ -162,7 +162,7 @@ func TestOnDemandSubsetOfStatic(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := ir.RandomForest(g, ir.RandomConfig{Seed: 31, Trees: 400, MaxDepth: 8})
-	e.LabelStates(f)
+	e.Label(f, nil, 0)
 	if e.NumStates() > full.NumStates() {
 		t.Errorf("on-demand states %d exceed full automaton %d", e.NumStates(), full.NumStates())
 	}
@@ -210,8 +210,8 @@ func TestDynSignaturesCreateDistinctStates(t *testing.T) {
 	bDag.Root(dag)
 	fDag := bDag.Finish()
 
-	lt := e.LabelStates(fTree)
-	ld := e.LabelStates(fDag)
+	lt := e.Label(fTree, nil, 0).(*automaton.Labeling)
+	ld := e.Label(fDag, nil, 0).(*automaton.Labeling)
 	st := lt.StateAt(tre)
 	sd := ld.StateAt(dag)
 	if st == sd {
@@ -226,8 +226,8 @@ func TestDynSignaturesCreateDistinctStates(t *testing.T) {
 	}
 	// Relabeling both again must reuse the two memoized transitions.
 	n := e.NumTransitions()
-	e.LabelStates(fTree)
-	e.LabelStates(fDag)
+	e.Label(fTree, nil, 0)
+	e.Label(fDag, nil, 0)
 	if e.NumTransitions() != n {
 		t.Error("dynamic transitions were not memoized")
 	}
@@ -244,7 +244,7 @@ func TestEngineAccessors(t *testing.T) {
 		t.Error("Grammar accessor")
 	}
 	f := ir.MustParseTree(d.Grammar, "Store(Reg, Reg)")
-	e.LabelStates(f)
+	e.Label(f, nil, 0)
 	if e.Table().Len() != e.NumStates() {
 		t.Error("table accessor inconsistent")
 	}
@@ -274,14 +274,14 @@ func TestColdVsWarmWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := ir.RandomForest(d.Grammar, ir.RandomConfig{Seed: 41, Trees: 400, MaxDepth: 8})
-	e.Label(cold)
+	e.Label(cold, nil, 0)
 	coldMisses := m.TableMisses
 	if coldMisses == 0 {
 		t.Fatal("cold pass must construct transitions")
 	}
 	m.Reset()
 	warm := ir.RandomForest(d.Grammar, ir.RandomConfig{Seed: 42, Trees: 400, MaxDepth: 8})
-	e.Label(warm)
+	e.Label(warm, nil, 0)
 	if m.TableMisses*20 > m.TableProbes {
 		t.Errorf("warm pass misses %d of %d probes; automaton did not converge",
 			m.TableMisses, m.TableProbes)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sync/atomic"
 
@@ -38,8 +39,7 @@ import (
 // Concurrency is inherited: the overlay is immutable after construction
 // (plain loads are safe), and everything that mutates goes through the
 // wrapped Engine's documented lock-free/per-op-mutex discipline. Hybrid
-// implements reduce.Labeler, reduce.MeteredLabeler, reduce.ParallelLabeler
-// and reduce.LabelingRecycler.
+// implements reduce.Labeler.
 //
 // Config.MaxStates caveat: overlay seeding is not subject to the state
 // budget (the tables were validated offline), but on-demand growth past
@@ -200,111 +200,77 @@ func (h *Hybrid) fallBin(op grammar.OpID, l, r int32, m *metrics.Counters) int32
 	return e.missBin(op, l, r, m)
 }
 
-// LabelStates assigns a state to every node of f. Labelings are pooled —
-// return them with ReleaseLabeling.
-func (h *Hybrid) LabelStates(f *ir.Forest) *automaton.Labeling {
-	return h.LabelStatesMetered(f, nil)
-}
-
-// LabelStatesMetered is LabelStates with per-call counter attribution
-// (see Engine.LabelStatesMetered).
+// Label implements reduce.Labeler (see Engine.Label for the sink and
+// workers contract). Labelings are pooled — return them with
+// ReleaseLabeling.
 //
-// The loop hand-inlines labelNode's overlay fast path: on the warm fixed
-// majority the whole label is a bounds check and one plain array load, and
-// folding it into the loop body spares a (non-inlinable) call per node —
-// the margin by which warm hybrid selection undercuts the warm on-demand
-// engine, whose every node pays the labelNode call. Dynamic operators,
-// ForceHash, and overlay misses still take the out-of-line paths.
-func (h *Hybrid) LabelStatesMetered(f *ir.Forest, m *metrics.Counters) *automaton.Labeling {
-	if m == nil {
-		m = h.eng.m
-	}
+// The level-parallel path is exactly the wrapped engine's scheme: the
+// overlay fast path is plain loads on immutable data and the fallthrough
+// inherits the engine's concurrency discipline, so parallel labelNode
+// calls are safe across the fixed/dynamic boundary.
+//
+// The sequential loop hand-inlines labelNode's overlay fast path: on the
+// warm fixed majority the whole label is a bounds check and one plain
+// array load, and folding it into the loop body spares a (non-inlinable)
+// call per node — the margin by which warm hybrid selection undercuts the
+// warm on-demand engine, whose every node pays the labelNode call.
+// Dynamic operators, ForceHash, and overlay misses still take the
+// out-of-line paths.
+func (h *Hybrid) Label(f *ir.Forest, m *metrics.Counters, workers int) reduce.Labeling {
+	sink := cmp.Or(m, h.eng.m) // assigned once: see Engine.Label
 	lab := h.eng.labels.Get().(*automaton.Labeling)
 	ids := lab.Reuse(len(f.Nodes))
-	if h.force {
+	switch {
+	case workers > 1 && len(f.Nodes) >= reduce.MinParallelSpan:
+		reduce.LabelLevels(f, workers, func(idx int32) {
+			ids[idx] = h.labelNode(f.Nodes[idx], ids, sink)
+		})
+	case h.force:
 		for i, n := range f.Nodes {
-			ids[i] = h.eng.labelNode(n, ids, m)
+			ids[i] = h.eng.labelNode(n, ids, sink)
 		}
-		lab.Bind(h.eng.table)
-		return lab
-	}
-	n32, leaf, dir1, dir2, dyn := h.n, h.leaf, h.dir1, h.dir2, h.dyn
-	for i, n := range f.Nodes {
-		op := n.Op
-		if dyn[op] {
-			// Straight to the engine's dynamic hash path: labelNode would
-			// only re-derive HasDynRules and the force flag.
-			m.CountNode()
-			ids[i] = h.eng.labelDyn(op, n, ids, m)
-			continue
-		}
-		m.CountNode()
-		switch len(n.Kids) {
-		case 0:
-			m.CountProbe(false)
-			ids[i] = leaf[op]
-		case 1:
-			kid := ids[n.Kids[0].Index]
-			if kid < n32 {
-				if row := dir1[op]; row != nil {
-					m.CountProbe(false)
-					ids[i] = row[kid]
-					continue
-				}
+	default:
+		n32, leaf, dir1, dir2, dyn := h.n, h.leaf, h.dir1, h.dir2, h.dyn
+		for i, n := range f.Nodes {
+			op := n.Op
+			if dyn[op] {
+				// Straight to the engine's dynamic hash path: labelNode
+				// would only re-derive HasDynRules and the force flag.
+				sink.CountNode()
+				ids[i] = h.eng.labelDyn(op, n, ids, sink)
+				continue
 			}
-			ids[i] = h.fallUn(op, kid, m)
-		default:
-			l := ids[n.Kids[0].Index]
-			r := ids[n.Kids[1].Index]
-			if l < n32 && r < n32 {
-				if grid := dir2[op]; grid != nil {
-					m.CountProbe(false)
-					ids[i] = grid[l*n32+r]
-					continue
+			sink.CountNode()
+			switch len(n.Kids) {
+			case 0:
+				sink.CountProbe(false)
+				ids[i] = leaf[op]
+			case 1:
+				kid := ids[n.Kids[0].Index]
+				if kid < n32 {
+					if row := dir1[op]; row != nil {
+						sink.CountProbe(false)
+						ids[i] = row[kid]
+						continue
+					}
 				}
+				ids[i] = h.fallUn(op, kid, sink)
+			default:
+				l := ids[n.Kids[0].Index]
+				r := ids[n.Kids[1].Index]
+				if l < n32 && r < n32 {
+					if grid := dir2[op]; grid != nil {
+						sink.CountProbe(false)
+						ids[i] = grid[l*n32+r]
+						continue
+					}
+				}
+				ids[i] = h.fallBin(op, l, r, sink)
 			}
-			ids[i] = h.fallBin(op, l, r, m)
 		}
 	}
 	lab.Bind(h.eng.table)
 	return lab
-}
-
-// LabelStatesParallel is LabelStatesMetered with intra-forest level
-// fan-out, exactly the wrapped engine's scheme: the overlay fast path is
-// plain loads on immutable data and the fallthrough inherits the engine's
-// concurrency discipline, so parallel labelNode calls are safe across the
-// fixed/dynamic boundary.
-func (h *Hybrid) LabelStatesParallel(f *ir.Forest, workers int, m *metrics.Counters) *automaton.Labeling {
-	if workers <= 1 || len(f.Nodes) < reduce.MinParallelSpan {
-		return h.LabelStatesMetered(f, m)
-	}
-	if m == nil {
-		m = h.eng.m
-	}
-	lab := h.eng.labels.Get().(*automaton.Labeling)
-	ids := lab.Reuse(len(f.Nodes))
-	lv := levelsPool.Get().(*reduce.Levels)
-	lv.Partition(f)
-	lv.Run(workers, func(idx int32) {
-		ids[idx] = h.labelNode(f.Nodes[idx], ids, m)
-	})
-	levelsPool.Put(lv)
-	lab.Bind(h.eng.table)
-	return lab
-}
-
-// Label implements reduce.Labeler.
-func (h *Hybrid) Label(f *ir.Forest) reduce.Labeling { return h.LabelStates(f) }
-
-// LabelMetered implements reduce.MeteredLabeler.
-func (h *Hybrid) LabelMetered(f *ir.Forest, m *metrics.Counters) reduce.Labeling {
-	return h.LabelStatesMetered(f, m)
-}
-
-// LabelParallel implements reduce.ParallelLabeler.
-func (h *Hybrid) LabelParallel(f *ir.Forest, workers int, m *metrics.Counters) reduce.Labeling {
-	return h.LabelStatesParallel(f, workers, m)
 }
 
 // ReleaseLabeling implements reduce.LabelingRecycler.

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/automaton"
 	"repro/internal/dp"
 	"repro/internal/ir"
 	"repro/internal/md"
@@ -11,7 +12,7 @@ import (
 )
 
 // levelForest builds a forest wide enough that its leaf-side levels
-// exceed reduce.MinParallelSpan, so LabelStatesParallel actually fans out.
+// exceed reduce.MinParallelSpan, so Label with workers > 1 actually fans out.
 func levelForest(d md.Desc, seed int64) *ir.Forest {
 	return ir.RandomForest(d.Grammar, ir.RandomConfig{
 		Seed: seed, Trees: 1200, MaxDepth: 8, Share: seed%2 == 0, MaxLeafVal: 3,
@@ -39,9 +40,9 @@ func TestLevelParallelColdMatchesDP(t *testing.T) {
 		}
 		for seed := int64(0); seed < 4; seed++ {
 			f := levelForest(d, seed)
-			got := par.LabelStatesParallel(f, workers, nil)
-			seq.ReleaseLabeling(seq.LabelStates(f))
-			want := oracle.LabelResult(f)
+			got := par.Label(f, nil, workers).(*automaton.Labeling)
+			seq.ReleaseLabeling(seq.Label(f, nil, 0))
+			want := oracle.Label(f, nil, 0).(*dp.Result)
 			for _, n := range f.Nodes {
 				for nt := range want.Rules[n.Index] {
 					if want.Rules[n.Index][nt] != got.StateAt(n).Rule[nt] {
@@ -70,11 +71,11 @@ func TestLevelParallelWarmAddsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := levelForest(d, 99)
-	want := e.LabelStates(f) // warm up; keep as the reference labeling
+	want := e.Label(f, nil, 0).(*automaton.Labeling) // warm up; keep as the reference labeling
 	states, trans := e.NumStates(), e.NumTransitions()
 
 	m := &metrics.Counters{}
-	got := e.LabelStatesParallel(f, 4, m)
+	got := e.Label(f, m, 4).(*automaton.Labeling)
 	for _, n := range f.Nodes {
 		if want.StateAt(n) != got.StateAt(n) {
 			t.Fatalf("node %d: warm level-parallel label differs from sequential", n.Index)
@@ -104,8 +105,8 @@ func TestLevelParallelSmallForestFallsBack(t *testing.T) {
 	if f.NumNodes() >= reduce.MinParallelSpan {
 		t.Fatalf("test forest too big: %d nodes", f.NumNodes())
 	}
-	want := e.LabelStates(f)
-	got := e.LabelStatesParallel(f, 8, nil)
+	want := e.Label(f, nil, 0).(*automaton.Labeling)
+	got := e.Label(f, nil, 8).(*automaton.Labeling)
 	for _, n := range f.Nodes {
 		if want.StateAt(n) != got.StateAt(n) {
 			t.Fatalf("node %d: fallback label differs", n.Index)
@@ -124,8 +125,8 @@ func TestLevelParallelForceHash(t *testing.T) {
 	}
 	for seed := int64(20); seed < 24; seed++ {
 		f := levelForest(d, seed)
-		got := e.LabelStatesParallel(f, 8, nil)
-		want := e.LabelStates(f)
+		got := e.Label(f, nil, 8).(*automaton.Labeling)
+		want := e.Label(f, nil, 0).(*automaton.Labeling)
 		for _, n := range f.Nodes {
 			if want.StateAt(n) != got.StateAt(n) {
 				t.Fatalf("seed %d node %d: ForceHash level-parallel label differs", seed, n.Index)

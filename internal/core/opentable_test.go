@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/automaton"
 	"repro/internal/dp"
 	"repro/internal/grammar"
 	"repro/internal/ir"
@@ -190,7 +191,7 @@ stmt: Asgn(reg, reg) (1)
 		t.Fatal(err)
 	}
 	for _, f := range forests {
-		seq.LabelStates(f)
+		seq.Label(f, nil, 0)
 	}
 
 	par, err := New(g, env, Config{})
@@ -207,8 +208,8 @@ stmt: Asgn(reg, reg) (1)
 		go func(i int) {
 			defer wg.Done()
 			f := forests[i]
-			got := par.LabelStates(f)
-			want := oracle.LabelResult(f)
+			got := par.Label(f, nil, 0).(*automaton.Labeling)
+			want := oracle.Label(f, nil, 0).(*dp.Result)
 			for _, n := range f.Nodes {
 				for nt := range want.Rules[n.Index] {
 					if want.Rules[n.Index][nt] != got.StateAt(n).Rule[nt] {
@@ -259,8 +260,8 @@ func TestEngineDynCollisionsMatchOracle(t *testing.T) {
 		f := ir.RandomForest(d.Grammar, ir.RandomConfig{
 			Seed: seed, Trees: 120, MaxDepth: 8, Share: seed%2 == 0, MaxLeafVal: 50,
 		})
-		got := e.LabelStates(f)
-		want := oracle.LabelResult(f)
+		got := e.Label(f, nil, 0).(*automaton.Labeling)
+		want := oracle.Label(f, nil, 0).(*dp.Result)
 		for _, n := range f.Nodes {
 			for nt := range want.Rules[n.Index] {
 				if want.Rules[n.Index][nt] != got.StateAt(n).Rule[nt] {

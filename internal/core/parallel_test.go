@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/automaton"
 	"repro/internal/dp"
 	"repro/internal/ir"
 	"repro/internal/md"
@@ -41,7 +42,7 @@ func TestParallelLabelColdMatchesSequential(t *testing.T) {
 	}
 	wantCost := make([]grammarCost, workers)
 	for i, f := range forests {
-		wantCost[i] = forestCosts(t, rd, f, seq.LabelStates(f))
+		wantCost[i] = forestCosts(t, rd, f, seq.Label(f, nil, 0))
 	}
 
 	m := &metrics.Counters{}
@@ -55,7 +56,7 @@ func TestParallelLabelColdMatchesSequential(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			gotCost[i] = forestCosts(t, rd, forests[i], par.LabelStates(forests[i]))
+			gotCost[i] = forestCosts(t, rd, forests[i], par.Label(forests[i], nil, 0))
 		}(i)
 	}
 	wg.Wait()
@@ -115,7 +116,7 @@ func TestParallelLabelWarmAddsNothing(t *testing.T) {
 		forests[i] = ir.RandomForest(d.Grammar, ir.RandomConfig{
 			Seed: int64(500 + i), Trees: 150, MaxDepth: 7, Share: true, MaxLeafVal: 3,
 		})
-		e.LabelStates(forests[i]) // warm up
+		e.Label(forests[i], nil, 0) // warm up
 	}
 	states, trans := e.NumStates(), e.NumTransitions()
 
@@ -126,8 +127,8 @@ func TestParallelLabelWarmAddsNothing(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			f := forests[i]
-			got := e.LabelStates(f)
-			want := l.LabelResult(f)
+			got := e.Label(f, nil, 0).(*automaton.Labeling)
+			want := l.Label(f, nil, 0).(*dp.Result)
 			for _, n := range f.Nodes {
 				for nt := range want.Rules[n.Index] {
 					if want.Rules[n.Index][nt] != got.StateAt(n).Rule[nt] {
@@ -166,9 +167,9 @@ func TestSaveDuringLabeling(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for seed := int64(0); seed < 6; seed++ {
-				e.LabelStates(ir.RandomForest(d.Grammar, ir.RandomConfig{
+				e.Label(ir.RandomForest(d.Grammar, ir.RandomConfig{
 					Seed: seed*int64(workers) + int64(i), Trees: 60, MaxDepth: 8, Share: true, MaxLeafVal: 3,
-				}))
+				}), nil, 0)
 			}
 		}(i)
 	}
@@ -210,14 +211,14 @@ func TestParallelForceHash(t *testing.T) {
 		forests[i] = ir.RandomForest(d.Grammar, ir.RandomConfig{
 			Seed: int64(900 + i), Trees: 100, MaxDepth: 7, Share: i%2 == 1, MaxLeafVal: 3,
 		})
-		seq.LabelStates(forests[i])
+		seq.Label(forests[i], nil, 0)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e.LabelStates(forests[i])
+			e.Label(forests[i], nil, 0)
 		}(i)
 	}
 	wg.Wait()

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/automaton"
 	"repro/internal/ir"
 	"repro/internal/md"
 	"repro/internal/metrics"
@@ -25,7 +26,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		forests = append(forests, c.Forests()...)
 	}
 	for _, f := range forests {
-		warm.LabelStates(f)
+		warm.Label(f, nil, 0)
 	}
 
 	var buf bytes.Buffer
@@ -48,8 +49,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Errorf("transitions %d != %d", restored.NumTransitions(), warm.NumTransitions())
 	}
 	for _, f := range forests {
-		a := warm.LabelStates(f)
-		b := restored.LabelStates(f)
+		a := warm.Label(f, nil, 0).(*automaton.Labeling)
+		b := restored.Label(f, nil, 0).(*automaton.Labeling)
 		for _, n := range f.Nodes {
 			sa, sb := a.StateAt(n), b.StateAt(n)
 			for nt := range sa.Delta {
@@ -69,7 +70,7 @@ func TestLoadRejectsWrongGrammar(t *testing.T) {
 	mips := md.MustLoad("mips")
 	e, _ := New(x86.Grammar, x86.Env, Config{})
 	f := ir.MustParseTree(x86.Grammar, "RET(ADD(REG[1], CNST[2]))")
-	e.Label(f)
+	e.Label(f, nil, 0)
 	var buf bytes.Buffer
 	if err := e.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -93,7 +94,7 @@ func TestLoadRejectsGarbageAndTruncation(t *testing.T) {
 	// Valid prefix, truncated tail.
 	e := fresh()
 	f := ir.MustParseTree(d.Grammar, "Store(Reg, Plus(Load(Reg), Reg))")
-	e.Label(f)
+	e.Label(f, nil, 0)
 	var buf bytes.Buffer
 	if err := e.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -109,7 +110,7 @@ func TestLoadRequiresFreshEngine(t *testing.T) {
 	d := md.MustLoad("demo")
 	e, _ := New(d.Grammar, d.Env, Config{})
 	f := ir.MustParseTree(d.Grammar, "Store(Reg, Reg)")
-	e.Label(f)
+	e.Label(f, nil, 0)
 	var buf bytes.Buffer
 	if err := e.Save(&buf); err != nil {
 		t.Fatal(err)

@@ -21,9 +21,8 @@ import (
 )
 
 // Labeler is an iburg/lburg-style dynamic-programming labeler. It
-// implements reduce.Labeler (plus reduce.LabelingRecycler); all working
-// state lives in the per-call Result, so one Labeler may label from many
-// goroutines concurrently.
+// implements reduce.Labeler; all working state lives in the per-call
+// Result, so one Labeler may label from many goroutines concurrently.
 type Labeler struct {
 	g       *grammar.Grammar
 	dyn     []grammar.DynFunc // indexed by rule index; nil for fixed-cost rules
@@ -97,17 +96,6 @@ func (r *Result) CostAt(n *ir.Node, nt grammar.NT) grammar.Cost {
 	return r.Costs[n.Index][nt]
 }
 
-// Label implements reduce.Labeler; see LabelResult for the concrete
-// cost/rule tables the oracle tests read.
-func (l *Labeler) Label(f *ir.Forest) reduce.Labeling { return l.LabelResult(f) }
-
-// LabelMetered implements reduce.MeteredLabeler: one call's events are
-// counted into m instead of the labeler's configured sink (nil falls back
-// to it).
-func (l *Labeler) LabelMetered(f *ir.Forest, m *metrics.Counters) reduce.Labeling {
-	return l.LabelResultMetered(f, m)
-}
-
 // NumStates implements reduce.Labeler: dynamic programming tabulates no
 // automaton, so all table stats are zero.
 func (l *Labeler) NumStates() int { return 0 }
@@ -118,15 +106,12 @@ func (l *Labeler) NumTransitions() int { return 0 }
 // MemoryBytes implements reduce.Labeler (always 0; see NumStates).
 func (l *Labeler) MemoryBytes() int { return 0 }
 
-// LabelResult labels all nodes of f bottom-up (topological order, which
-// also covers DAG inputs) and returns the per-node cost/rule tables.
-func (l *Labeler) LabelResult(f *ir.Forest) *Result {
-	return l.LabelResultMetered(f, nil)
-}
-
-// LabelResultMetered is LabelResult with per-call counter attribution
-// (see LabelMetered).
-func (l *Labeler) LabelResultMetered(f *ir.Forest, m *metrics.Counters) *Result {
+// Label implements reduce.Labeler: it labels all nodes of f bottom-up
+// (topological order, which also covers DAG inputs) and returns a *Result
+// holding the per-node cost/rule tables the oracle tests read. Events are
+// counted into m, or into the labeler's configured sink when m is nil.
+// The recurrence is sequential; workers is ignored.
+func (l *Labeler) Label(f *ir.Forest, m *metrics.Counters, _ int) reduce.Labeling {
 	if m == nil {
 		m = l.m
 	}

@@ -26,7 +26,7 @@ func TestPaperExampleTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := ir.MustParseTree(g, "Store(Reg[1], Plus(Load(Reg[1]), Reg[2]))")
-	res := l.LabelResult(f)
+	res := l.Label(f, nil, 0).(*Result)
 	root := f.Roots[0]
 	stmt := g.MustNT("stmt")
 	if got := res.CostAt(root, stmt); got != 3 {
@@ -69,7 +69,7 @@ func TestPaperExampleDAG(t *testing.T) {
 	b.Root(store)
 	f := b.Finish()
 
-	res := l.LabelResult(f)
+	res := l.Label(f, nil, 0).(*Result)
 	stmt := g.MustNT("stmt")
 	if got := res.CostAt(store, stmt); got != 1 {
 		t.Errorf("stmt cost = %d, want 1 (RMW applies)\n%s", got, res.Explain(store))
@@ -92,7 +92,7 @@ top:  mid (3)
 		t.Fatal(err)
 	}
 	f := ir.MustParseTree(g, "A")
-	res := l.LabelResult(f)
+	res := l.Label(f, nil, 0).(*Result)
 	n := f.Roots[0]
 	if got := res.CostAt(n, g.MustNT("top")); got != 6 {
 		t.Errorf("top = %d, want 6 (1+2+3 through two chain rules)", got)
@@ -113,7 +113,7 @@ x: b (1)
 `)
 	l, _ := New(g, nil, nil)
 	f := ir.MustParseTree(g, "A")
-	res := l.LabelResult(f)
+	res := l.Label(f, nil, 0).(*Result)
 	n := f.Roots[0]
 	if got := res.CostAt(n, g.MustNT("x")); got != 2 {
 		t.Errorf("x = %d, want 2 (via b, not the direct cost-5 rule)", got)
@@ -129,7 +129,7 @@ y: A (0)
 `)
 	l, _ := New(g, nil, nil)
 	f := ir.MustParseTree(g, "A")
-	res := l.LabelResult(f)
+	res := l.Label(f, nil, 0).(*Result)
 	if res.Derivable(f.Roots[0]) {
 		t.Error("A alone must not derive start x")
 	}
@@ -169,12 +169,12 @@ func TestDynNotCalledWhenStructurallyInapplicable(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := ir.MustParseTree(g, "Store(Reg, Reg)")
-	l.Label(f)
+	l.Label(f, nil, 0)
 	if calls != 0 {
 		t.Errorf("dyn calls = %d, want 0 for non-matching shape", calls)
 	}
 	f2 := ir.MustParseTree(g, "Store(Reg, Plus(Load(Reg), Reg))")
-	l.Label(f2)
+	l.Label(f2, nil, 0)
 	if calls != 1 {
 		t.Errorf("dyn calls = %d, want 1 for matching shape", calls)
 	}
@@ -188,7 +188,7 @@ func TestMetricsCounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := ir.MustParseTree(d.Grammar, "Store(Reg, Plus(Load(Reg), Reg))")
-	l.Label(f)
+	l.Label(f, nil, 0)
 	if m.NodesLabeled != 6 {
 		t.Errorf("nodes = %d, want 6", m.NodesLabeled)
 	}

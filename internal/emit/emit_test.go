@@ -18,7 +18,7 @@ func TestEmitDemoTree(t *testing.T) {
 	l, _ := dp.New(g, d.Env, nil)
 	rd, _ := reduce.New(g, d.Env, nil)
 	f := ir.MustParseTree(g, "Store(Reg[1], Plus(Load(Reg[1]), Reg[2]))")
-	asm, instrs, cost, err := Emit(rd, f, l.Label(f), g)
+	asm, instrs, cost, err := Emit(rd, f, l.Label(f, nil, 0), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestEmitRMWDag(t *testing.T) {
 	root := b.Node("Store", a, b.Node("Plus", b.Node("Load", a), b.Leaf("Reg", 2)))
 	b.Root(root)
 	f := b.Finish()
-	asm, instrs, cost, err := Emit(rd, f, l.Label(f), g)
+	asm, instrs, cost, err := Emit(rd, f, l.Label(f, nil, 0), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +72,11 @@ func TestEnginesEmitIdenticalCode(t *testing.T) {
 			RootOps:  []grammar.OpID{g.MustOp("Store")},
 			InnerOps: []grammar.OpID{g.MustOp("Plus"), g.MustOp("Load")},
 		})
-		asmDP, nDP, cDP, err := Emit(rd, f, l.Label(f), g)
+		asmDP, nDP, cDP, err := Emit(rd, f, l.Label(f, nil, 0), g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		asmOD, nOD, cOD, err := Emit(rd, f, e.Label(f), g)
+		asmOD, nOD, cOD, err := Emit(rd, f, e.Label(f, nil, 0), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ r: P(k, k) = 2 (1) "lea %0(%1), %d ; 100%% flat %z"
 	l, _ := dp.New(g, nil, nil)
 	rd, _ := reduce.New(g, nil, nil)
 	f := ir.MustParseTree(g, "P(K[3], K[4])")
-	asm, instrs, _, err := Emit(rd, f, l.Label(f), g)
+	asm, instrs, _, err := Emit(rd, f, l.Label(f, nil, 0), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ r: L(a) = 2 (1) "mov %0, %d"
 	l, _ := dp.New(g, nil, nil)
 	rd, _ := reduce.New(g, nil, nil)
 	f := ir.MustParseTree(g, "L(G[counter])")
-	asm, _, _, err := Emit(rd, f, l.Label(f), g)
+	asm, _, _, err := Emit(rd, f, l.Label(f, nil, 0), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ f: i = 2 (1) "cvtsi2sd %0, %d"
 	l, _ := dp.New(g, nil, nil)
 	rd, _ := reduce.New(g, nil, nil)
 	f := ir.MustParseTree(g, "K[7]")
-	asm, instrs, _, err := Emit(rd, f, l.Label(f), g)
+	asm, instrs, _, err := Emit(rd, f, l.Label(f, nil, 0), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestSharedSubtreeEmittedOnce(t *testing.T) {
 	b.Root(b.Node("Store", b.Leaf("Reg", 3), shared))
 	b.Root(b.Node("Store", b.Leaf("Reg", 4), shared))
 	f := b.Finish()
-	asm, instrs, _, err := Emit(rd, f, l.Label(f), g)
+	asm, instrs, _, err := Emit(rd, f, l.Label(f, nil, 0), g)
 	if err != nil {
 		t.Fatal(err)
 	}

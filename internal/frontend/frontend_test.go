@@ -176,7 +176,7 @@ func TestLowerSelectsRMWOnX86(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := unit.Funcs[0].Forest
-	deriv, err := rd.Trace(f, l.Label(f))
+	deriv, err := rd.Trace(f, l.Label(f, nil, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ int f(int n) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := l.LabelResult(f)
+	res := l.Label(f, nil, 0).(*dp.Result)
 	for i, r := range f.Roots {
 		if !res.Derivable(r) {
 			t.Errorf("root %d (%s) not derivable", i, g.OpName(r.Op))

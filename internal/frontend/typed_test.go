@@ -94,7 +94,7 @@ int f(int i) {
 		t.Fatal(err)
 	}
 	f := unit.Funcs[0].Forest
-	asm, _, _, err := emit.Emit(rd, f, l.Label(f), g)
+	asm, _, _, err := emit.Emit(rd, f, l.Label(f, nil, 0), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ int f(int i, int k) {
 	l, _ := dp.New(g, d.Env, nil)
 	rd, _ := reduce.New(g, d.Env, nil)
 	f := unit.Funcs[0].Forest
-	asm, _, _, err := emit.Emit(rd, f, l.Label(f), g)
+	asm, _, _, err := emit.Emit(rd, f, l.Label(f, nil, 0), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestAlphaByteAccessExpensive(t *testing.T) {
 	cost := func(src string) int {
 		unit := MustLower(MustParse(src), g)
 		f := unit.Funcs[0].Forest
-		d, err := rd.Trace(f, l.Label(f))
+		d, err := rd.Trace(f, l.Label(f, nil, 0))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,8 +51,8 @@ func TestRoundTrip(t *testing.T) {
 		}
 		for seed := 0; seed < 60; seed++ {
 			f := ir.RandomForest(g, ir.RandomConfig{Seed: int64(seed), Trees: 3, MaxDepth: 5, MaxLeafVal: 64})
-			want := res.Auto.LabelStates(f)
-			got := loaded.LabelStates(f)
+			want := res.Auto.Label(f, nil, 0)
+			got := loaded.Label(f, nil, 0)
 			for _, n := range f.Nodes {
 				for nt := 0; nt < g.NumNonterms(); nt++ {
 					if want.RuleAt(n, grammar.NT(nt)) != got.RuleAt(n, grammar.NT(nt)) {

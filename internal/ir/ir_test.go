@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -198,5 +199,39 @@ func TestStatsDepth(t *testing.T) {
 	}
 	if st.String() == "" {
 		t.Error("empty stats string")
+	}
+}
+
+// TestParseTreeDeepChain: tree parsing keeps its own stack, so a chain
+// far deeper than the goroutine stack allows still parses. The test caps
+// the stack low: a recursive parser overflows it, which is a fatal error
+// no recover can contain; the iterative one never grows it.
+func TestParseTreeDeepChain(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(256 << 10))
+	g := demoGrammar(t)
+	const depth = 200000
+	src := strings.Repeat("Load(", depth) + "Reg[1]" + strings.Repeat(")", depth)
+	f, err := ParseTree(g, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.NumNodes() != depth+1 {
+		t.Fatalf("nodes = %d, want %d", f.NumNodes(), depth+1)
+	}
+	if err := CheckTopo(f); err != nil {
+		t.Fatal(err)
+	}
+	n := f.Roots[0]
+	for i := 0; i < depth; i++ {
+		if g.OpName(n.Op) != "Load" || len(n.Kids) != 1 {
+			t.Fatalf("depth %d: got %s with %d kids, want Load with 1", i, g.OpName(n.Op), len(n.Kids))
+		}
+		n = n.Kids[0]
+	}
+	if g.OpName(n.Op) != "Reg" || n.Val != 1 {
+		t.Fatalf("leaf = %s[%d], want Reg[1]", g.OpName(n.Op), n.Val)
+	}
+	if _, err := ParseTree(g, src[:len(src)-1]); err == nil || !strings.Contains(err.Error(), "unterminated '(' for Load") {
+		t.Fatalf("deep chain missing one ')': err = %v, want unterminated '('", err)
 	}
 }

@@ -85,22 +85,83 @@ func (p *treeParser) skipSpace(newlines bool) {
 	}
 }
 
+// openNode is a node whose '(' has been read and whose kids are being
+// parsed: the explicit-stack frame of parseNode.
+type openNode struct {
+	op   grammar.OpID
+	val  int64
+	sym  string
+	name string
+	base int // start of this node's kids on the shared kid stack
+}
+
+// parseNode parses one tree. It is iterative — an explicit stack of open
+// nodes and one shared stack of finished kids instead of recursion — so a
+// client-supplied tree of any depth cannot overflow the goroutine stack.
+// Nodes are built in post-order, children before parents, exactly as a
+// recursive descent would build them.
 func (p *treeParser) parseNode() (*Node, error) {
+	var open []openNode
+	var kids []*Node
+	for {
+		nd, err := p.parseHead()
+		if err != nil {
+			return nil, err
+		}
+		p.skipSpace(false)
+		if p.pos < len(p.src) && p.src[p.pos] == '(' {
+			p.pos++
+			nd.base = len(kids)
+			open = append(open, nd)
+			continue
+		}
+		n, err := p.build(nd, nil)
+		// Close every node this one completes, then descend into the next
+		// sibling (after ',') or return the finished root.
+		for err == nil {
+			if len(open) == 0 {
+				return n, nil
+			}
+			kids = append(kids, n)
+			top := &open[len(open)-1]
+			p.skipSpace(false)
+			if p.pos >= len(p.src) {
+				return nil, fmt.Errorf("tree: unterminated '(' for %s", top.name)
+			}
+			if p.src[p.pos] == ',' {
+				p.pos++
+				break
+			}
+			if p.src[p.pos] != ')' {
+				return nil, fmt.Errorf("tree:%d: expected ',' or ')', got %q", p.pos, rest(p.src, p.pos))
+			}
+			p.pos++
+			n, err = p.build(*top, kids[top.base:])
+			kids = kids[:top.base]
+			open = open[:len(open)-1]
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// parseHead parses an operator name and its optional [payload].
+func (p *treeParser) parseHead() (openNode, error) {
 	p.skipSpace(false)
 	start := p.pos
 	for p.pos < len(p.src) && isWordChar(p.src[p.pos]) {
 		p.pos++
 	}
 	if p.pos == start {
-		return nil, fmt.Errorf("tree:%d: expected operator name, got %q", p.pos, rest(p.src, p.pos))
+		return openNode{}, fmt.Errorf("tree:%d: expected operator name, got %q", p.pos, rest(p.src, p.pos))
 	}
-	name := p.src[start:p.pos]
-	op, ok := p.b.Grammar().OpByName(name)
+	nd := openNode{name: p.src[start:p.pos]}
+	op, ok := p.b.Grammar().OpByName(nd.name)
 	if !ok {
-		return nil, fmt.Errorf("tree:%d: unknown operator %q", start, name)
+		return openNode{}, fmt.Errorf("tree:%d: unknown operator %q", start, nd.name)
 	}
-	var val int64
-	var sym string
+	nd.op = op
 	if p.pos < len(p.src) && p.src[p.pos] == '[' {
 		p.pos++
 		pstart := p.pos
@@ -108,46 +169,25 @@ func (p *treeParser) parseNode() (*Node, error) {
 			p.pos++
 		}
 		if p.pos >= len(p.src) {
-			return nil, fmt.Errorf("tree:%d: unterminated '['", pstart)
+			return openNode{}, fmt.Errorf("tree:%d: unterminated '['", pstart)
 		}
 		payload := p.src[pstart:p.pos]
 		p.pos++ // ']'
 		if v, err := strconv.ParseInt(payload, 10, 64); err == nil {
-			val = v
+			nd.val = v
 		} else {
-			sym = payload
+			nd.sym = payload
 		}
 	}
-	arity := p.b.Grammar().Arity(op)
-	var kids []*Node
-	p.skipSpace(false)
-	if p.pos < len(p.src) && p.src[p.pos] == '(' {
-		p.pos++
-		for {
-			kid, err := p.parseNode()
-			if err != nil {
-				return nil, err
-			}
-			kids = append(kids, kid)
-			p.skipSpace(false)
-			if p.pos >= len(p.src) {
-				return nil, fmt.Errorf("tree: unterminated '(' for %s", name)
-			}
-			if p.src[p.pos] == ',' {
-				p.pos++
-				continue
-			}
-			if p.src[p.pos] == ')' {
-				p.pos++
-				break
-			}
-			return nil, fmt.Errorf("tree:%d: expected ',' or ')', got %q", p.pos, rest(p.src, p.pos))
-		}
+	return nd, nil
+}
+
+// build checks nd's kid count against its arity and adds the node.
+func (p *treeParser) build(nd openNode, kids []*Node) (*Node, error) {
+	if arity := p.b.Grammar().Arity(nd.op); len(kids) != arity {
+		return nil, fmt.Errorf("tree: operator %s wants %d kids, got %d", nd.name, arity, len(kids))
 	}
-	if len(kids) != arity {
-		return nil, fmt.Errorf("tree: operator %s wants %d kids, got %d", name, arity, len(kids))
-	}
-	return p.b.OpNode(op, val, sym, kids...), nil
+	return p.b.OpNode(nd.op, nd.val, nd.sym, kids...), nil
 }
 
 func isWordChar(c byte) bool {
@@ -167,25 +207,26 @@ func CheckTopo(f *Forest) error {
 			}
 		}
 	}
-	seen := map[*Node]bool{}
+	// Every root, and every kid of a listed node, must itself be listed;
+	// by induction so is every reachable node. No recursion: forests may
+	// be arbitrarily deep.
+	seen := make(map[*Node]bool, len(f.Nodes))
 	for _, n := range f.Nodes {
 		seen[n] = true
 	}
-	var check func(n *Node) error
-	check = func(n *Node) error {
-		if !seen[n] {
-			return fmt.Errorf("ir: reachable node (op %d) missing from Nodes", n.Op)
-		}
-		for _, k := range n.Kids {
-			if err := check(k); err != nil {
-				return err
-			}
-		}
-		return nil
+	missing := func(n *Node) error {
+		return fmt.Errorf("ir: reachable node (op %d) missing from Nodes", n.Op)
 	}
 	for _, r := range f.Roots {
-		if err := check(r); err != nil {
-			return err
+		if !seen[r] {
+			return missing(r)
+		}
+	}
+	for _, n := range f.Nodes {
+		for _, k := range n.Kids {
+			if !seen[k] {
+				return missing(k)
+			}
 		}
 	}
 	return nil

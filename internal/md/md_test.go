@@ -89,8 +89,8 @@ func TestEnginesAgreeOnAllGrammars(t *testing.T) {
 				f := ir.RandomForest(g, ir.RandomConfig{
 					Seed: seed, Trees: 120, MaxDepth: 7, Share: seed%2 == 1, MaxLeafVal: 1 << uint(4*seed%40),
 				})
-				want := l.LabelResult(f)
-				got := e.LabelStates(f)
+				want := l.Label(f, nil, 0).(*dp.Result)
+				got := e.Label(f, nil, 0).(*automaton.Labeling)
 				for _, n := range f.Nodes {
 					s := got.StateAt(n)
 					row := want.Costs[n.Index]
@@ -167,8 +167,8 @@ func TestStaticGenerationAllGrammars(t *testing.T) {
 				t.Fatal(err)
 			}
 			f := ir.RandomForest(fixed, ir.RandomConfig{Seed: 99, Trees: 150, MaxDepth: 7})
-			want := l.LabelResult(f)
-			got := a.LabelStates(f)
+			want := l.Label(f, nil, 0).(*dp.Result)
+			got := a.Label(f, nil, 0).(*automaton.Labeling)
 			for _, n := range f.Nodes {
 				for nt := range want.Costs[n.Index] {
 					if want.Rules[n.Index][nt] != got.StateAt(n).Rule[nt] {
@@ -194,8 +194,8 @@ func TestImmediateRangesMatter(t *testing.T) {
 			reg := g.MustNT("reg")
 			small := ir.MustParseTree(g, "ADD(REG[1], CNST[5])")
 			large := ir.MustParseTree(g, "ADD(REG[1], CNST[100000])")
-			rs := l.LabelResult(small)
-			rl := l.LabelResult(large)
+			rs := l.Label(small, nil, 0).(*dp.Result)
+			rl := l.Label(large, nil, 0).(*dp.Result)
 			cSmall := rs.CostAt(small.Roots[0], reg)
 			cLarge := rl.CostAt(large.Roots[0], reg)
 			if cSmall >= cLarge {
@@ -220,7 +220,7 @@ func TestX86RMWSelected(t *testing.T) {
 	rmw := b.Node("ASGN", a, b.Node("ADD", b.Node("INDIR", a), v))
 	b.Root(rmw)
 	f := b.Finish()
-	res := l.LabelResult(f)
+	res := l.Label(f, nil, 0).(*dp.Result)
 	if got := res.CostAt(rmw, g.Start); got != 1 {
 		t.Errorf("RMW cost = %d, want 1\n%s", got, res.Explain(rmw))
 	}
@@ -235,8 +235,8 @@ func TestX86ScaledIndex(t *testing.T) {
 	ok := ir.MustParseTree(g, "INDIR(ADD(REG[1], SHL(REG[2], CNST[3])))")
 	bad := ir.MustParseTree(g, "INDIR(ADD(REG[1], SHL(REG[2], CNST[7])))")
 	reg := g.MustNT("reg")
-	cOK := l.LabelResult(ok).CostAt(ok.Roots[0], reg)
-	cBad := l.LabelResult(bad).CostAt(bad.Roots[0], reg)
+	cOK := l.Label(ok, nil, 0).(*dp.Result).CostAt(ok.Roots[0], reg)
+	cBad := l.Label(bad, nil, 0).(*dp.Result).CostAt(bad.Roots[0], reg)
 	if cOK >= cBad {
 		t.Errorf("scale-3 load (%d) must beat scale-7 load (%d)", cOK, cBad)
 	}

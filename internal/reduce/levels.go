@@ -20,9 +20,9 @@ const MinParallelSpan = 128
 // any order, including concurrently across goroutines, as long as levels
 // themselves run in order with a barrier between them. This is the
 // partition behind level-parallel labeling inside one compilation unit
-// (see ParallelLabeler): the paper's warm fast path is already lock-free,
-// and levels are what make intra-forest fan-out sound, because a node's
-// children are guaranteed labeled before its level starts.
+// (Labeler.Label with workers > 1): the paper's warm fast path is already
+// lock-free, and levels are what make intra-forest fan-out sound, because
+// a node's children are guaranteed labeled before its level starts.
 //
 // A Levels value is reusable scratch: Partition overwrites all state,
 // keeping buffer capacity, so pooled values make repeated partitioning
@@ -145,6 +145,22 @@ func (lv *Levels) Run(workers int, label func(idx int32)) {
 			panic(pval)
 		}
 	}
+}
+
+// levelsPool recycles partition scratch across LabelLevels calls; a warm
+// partition reuses its depth and order buffers.
+var levelsPool = sync.Pool{New: func() any { return new(Levels) }}
+
+// LabelLevels partitions f with pooled scratch and runs label over its
+// levels across up to workers goroutines (see Run): the level-parallel
+// path every automaton engine's Label shares. The per-level goroutines
+// allocate, so this path trades the warm zero-allocation guarantee for
+// latency.
+func LabelLevels(f *ir.Forest, workers int, label func(idx int32)) {
+	lv := levelsPool.Get().(*Levels)
+	lv.Partition(f)
+	lv.Run(workers, label)
+	levelsPool.Put(lv)
 }
 
 func resizeI32(s []int32, n int) []int32 {

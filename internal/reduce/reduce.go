@@ -48,13 +48,32 @@ type Labeling interface {
 	RuleAt(n *ir.Node, nt grammar.NT) int32
 }
 
-// Labeler is a labeling engine: the common face of the three
-// interchangeable implementations the paper compares — dp.Labeler
-// (dynamic programming at selection time), automaton.Static (offline
-// burg-style automaton) and core.Engine (the paper's on-demand
-// automaton). New engine kinds implement this interface and register a
-// constructor with the API layer; nothing else in the pipeline needs to
-// know about them.
+// Labeler is a labeling engine: the common face of the five engine
+// kinds — dp.Labeler (dynamic programming at selection time, the oracle),
+// automaton.Static (the burg-style offline automaton, behind both the
+// static and the offline kinds), core.Engine (the paper's on-demand
+// automaton) and core.Hybrid (offline tables for the fixed operators,
+// on-demand for the rest). The engines differ only in how they label a
+// node; everything downstream reads the Labeling. New engine kinds
+// implement this interface and register a constructor with the API
+// layer; nothing else in the pipeline needs to know about them.
+//
+// Label assigns a labeling to every node of f. Every event of the call is
+// counted into m, or into the engine's own configured sink when m is nil
+// (the compilation server passes a per-client sink to attribute one shared
+// warm engine's work to individual clients). With workers > 1 and a
+// forest of at least MinParallelSpan nodes, the automaton engines label
+// topological levels across up to workers goroutines (see Levels); the
+// labeling is indistinguishable from the sequential one. dp's
+// whole-forest recurrence is sequential and ignores workers.
+//
+// Labelings come from an engine-internal pool. Ownership contract: a
+// labeling returned by Label belongs to the caller; ReleaseLabeling
+// transfers it back, after which the caller must not touch it (or
+// anything read out of it that aliases its buffers). Releasing is
+// optional — kept labelings are simply garbage collected — but a warm
+// Selector.Compile releases internally, which is what makes it
+// allocation-free per node.
 //
 // The stats methods describe the engine's automaton, when it has one:
 // states materialized, transition entries tabulated or memoized, and the
@@ -65,8 +84,8 @@ type Labeling interface {
 // automaton.Static is immutable after generation, and core.Engine
 // synchronizes its construct slow path internally (see package core).
 type Labeler interface {
-	// Label assigns a labeling to every node of f.
-	Label(f *ir.Forest) Labeling
+	Label(f *ir.Forest, m *metrics.Counters, workers int) Labeling
+	LabelingRecycler
 	// NumStates reports automaton states (materialized so far for the
 	// on-demand engine, total for the static one, 0 for dp).
 	NumStates() int
@@ -77,45 +96,8 @@ type Labeler interface {
 	MemoryBytes() int
 }
 
-// MeteredLabeler is the optional engine capability behind per-caller work
-// accounting: LabelMetered counts the events of one Label call into a
-// caller-supplied sink instead of the engine's configured one (nil falls
-// back to the engine sink). All built-in engines implement it; the
-// compilation server relies on it to attribute one shared warm engine's
-// work to individual clients, whose counters then merge back into the
-// session totals via metrics.Counters.Add.
-type MeteredLabeler interface {
-	LabelMetered(f *ir.Forest, m *metrics.Counters) Labeling
-}
-
-// ParallelLabeler is the optional engine capability behind level-parallel
-// labeling inside one compilation unit: LabelParallel partitions f's nodes
-// into topological levels (see Levels) and labels each level's nodes
-// across up to workers goroutines against the engine's shared tables,
-// with a barrier between levels so every node's children are labeled
-// before it. workers <= 1 must behave exactly like LabelMetered(f, m).
-//
-// The labeling produced must be indistinguishable from the sequential
-// one — engines implement this only when their per-node labeling is
-// already safe for concurrent callers (all built-in automaton engines
-// are; dp's whole-forest recurrence is inherently sequential and does not
-// implement it). Small levels should fall back to the sequential loop:
-// fan-out only pays above a few hundred independent nodes.
-type ParallelLabeler interface {
-	LabelParallel(f *ir.Forest, workers int, m *metrics.Counters) Labeling
-}
-
-// LabelingRecycler is the optional engine capability behind the
-// allocation-free warm path: engines that implement it hand labelings out
-// of an internal pool, and ReleaseLabeling returns one so the next Label
-// call can reuse its buffers.
-//
-// Ownership contract: a labeling obtained from Label/LabelMetered belongs
-// to the caller. Calling ReleaseLabeling transfers it back — the caller
-// must not touch it (or anything read out of it that aliases its buffers)
-// afterwards. Releasing is optional; labelings that are kept are simply
-// garbage collected. Selector.Compile releases internally, which is what
-// makes a warm compile allocation-free per node.
+// LabelingRecycler is the pool half of Labeler: ReleaseLabeling hands a
+// labeling obtained from Label back so the next call reuses its buffers.
 type LabelingRecycler interface {
 	ReleaseLabeling(lab Labeling)
 }

@@ -33,7 +33,7 @@ func TestPaperDerivation(t *testing.T) {
 	d, l, rd := setup(t)
 	g := d.Grammar
 	f := ir.MustParseTree(g, "Store(Reg[1], Plus(Load(Reg[1]), Reg[2]))")
-	deriv, err := rd.Trace(f, l.Label(f))
+	deriv, err := rd.Trace(f, l.Label(f, nil, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestRMWDerivationOnDAG(t *testing.T) {
 	root := b.Node("Store", a, b.Node("Plus", b.Node("Load", a), v))
 	b.Root(root)
 	f := b.Finish()
-	deriv, err := rd.Trace(f, l.Label(f))
+	deriv, err := rd.Trace(f, l.Label(f, nil, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +93,11 @@ func TestEnginesSelectIdenticalDerivations(t *testing.T) {
 			RootOps:  []grammar.OpID{d.Grammar.MustOp("Store")},
 			InnerOps: []grammar.OpID{d.Grammar.MustOp("Plus"), d.Grammar.MustOp("Load")},
 		})
-		want, err := rd.Trace(f, l.Label(f))
+		want, err := rd.Trace(f, l.Label(f, nil, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := rd.Trace(f, e.Label(f))
+		got, err := rd.Trace(f, e.Label(f, nil, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestReduceCostMatchesLabelCost(t *testing.T) {
 			RootOps:  []grammar.OpID{g.MustOp("Store")},
 			InnerOps: []grammar.OpID{g.MustOp("Plus"), g.MustOp("Load")},
 		})
-		res := l.LabelResult(f)
+		res := l.Label(f, nil, 0).(*dp.Result)
 		var want grammar.Cost
 		ok := true
 		for _, r := range f.Roots {
@@ -155,7 +155,7 @@ func TestDAGVisitsOnce(t *testing.T) {
 	b.Root(b.Node("Store", b.Leaf("Reg", 4), shared))
 	f := b.Finish()
 	visits := map[int]int{}
-	cov, err := rd.Cover(f, l.Label(f))
+	cov, err := rd.Cover(f, l.Label(f, nil, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestUnderivableError(t *testing.T) {
 	d, l, rd := setup(t)
 	// A bare Reg cannot derive stmt.
 	f := ir.MustParseTree(d.Grammar, "Reg[1]")
-	_, err := rd.Cover(f, l.Label(f))
+	_, err := rd.Cover(f, l.Label(f, nil, 0))
 	if err == nil || !strings.Contains(err.Error(), "no derivation") {
 		t.Errorf("expected no-derivation error, got %v", err)
 	}
@@ -188,7 +188,7 @@ func TestCoverTreeGoal(t *testing.T) {
 	d, l, rd := setup(t)
 	g := d.Grammar
 	f := ir.MustParseTree(g, "Plus(Reg, Load(Reg))")
-	c, err := rd.CoverTree(f.Roots[0], g.MustNT("reg"), l.Label(f))
+	c, err := rd.CoverTree(f.Roots[0], g.MustNT("reg"), l.Label(f, nil, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestDeepTreeReduction(t *testing.T) {
 		n = b.Node("Load", n)
 	}
 	f := b.SingleTree(n)
-	c, err := rd.CoverTree(f.Roots[0], g.MustNT("reg"), l.Label(f))
+	c, err := rd.CoverTree(f.Roots[0], g.MustNT("reg"), l.Label(f, nil, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestVisitOrderBottomUp(t *testing.T) {
 	g := d.Grammar
 	f := ir.MustParseTree(g, "Store(Reg[1], Plus(Load(Reg[2]), Reg[3]))")
 	seenNode := map[*ir.Node]bool{}
-	c, err := rd.Cover(f, l.Label(f))
+	c, err := rd.Cover(f, l.Label(f, nil, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestPremisePositions(t *testing.T) {
 	b.Root(b.Node("Store", a, b.Node("Plus", a, shared)))
 	b.Root(b.Node("Store", b.Leaf("Reg", 4), b.Node("Load", shared)))
 	f := b.Finish()
-	c, err := rd.Cover(f, l.Label(f))
+	c, err := rd.Cover(f, l.Label(f, nil, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestReleasedCoverPinsNoForest(t *testing.T) {
 			n = b.Node("Plus", n, b.Node("Load", b.Leaf("Reg", int64(i))))
 		}
 		f := b.SingleTree(b.Node("Store", b.Leaf("Reg", 0), n))
-		c, err := rd.Cover(f, l.Label(f))
+		c, err := rd.Cover(f, l.Label(f, nil, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +321,7 @@ func TestReduceMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := ir.MustParseTree(d.Grammar, "Store(Reg, Reg)")
-	if _, err := rd.Cover(f, l.Label(f)); err != nil {
+	if _, err := rd.Cover(f, l.Label(f, nil, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if m.NodesReduced == 0 {

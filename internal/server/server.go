@@ -129,12 +129,24 @@ func (f *Future) TraceEntry() *telemetry.Entry {
 // won. The worker and the cancellation watcher race here by design; the
 // loser's result is dropped.
 func (f *Future) resolve(out *repro.Output, err error) bool {
-	if !f.resolved.CompareAndSwap(false, true) {
+	if !f.claim() {
 		return false
 	}
+	f.publish(out, err)
+	return true
+}
+
+// claim is resolve's first half: it reports whether this caller won the
+// right to resolve. A winner must call publish. Splitting the two lets a
+// worker count the job's outcome in between, so Stats read right after
+// Wait returns already includes it.
+func (f *Future) claim() bool { return f.resolved.CompareAndSwap(false, true) }
+
+// publish is resolve's second half: it stores the result and wakes
+// waiters.
+func (f *Future) publish(out *repro.Output, err error) {
 	f.out, f.err = out, err
 	close(f.done)
-	return true
 }
 
 // isResolved reports whether the future has already resolved (cheap
@@ -307,8 +319,11 @@ func (s *Server) runJob(j job, jm *metrics.Counters) {
 		return
 	}
 	if err := j.ctx.Err(); err != nil {
-		j.fut.resolve(nil, err)
+		won := j.fut.claim()
 		s.jobsCancelled.Add(1)
+		if won {
+			j.fut.publish(nil, err)
+		}
 		s.finishTrace(&j, nil, err)
 		return
 	}
@@ -321,7 +336,9 @@ func (s *Server) runJob(j job, jm *metrics.Counters) {
 		s.clientCounters(j.client).Add(jm)
 		s.global.Add(jm)
 		s.finishTrace(&j, j.fut, err)
-		won := j.fut.resolve(out, err)
+		// The outcome is counted between claim and publish, so a caller
+		// that reads Stats right after Wait returns sees this job.
+		won := j.fut.claim()
 		switch {
 		case !won:
 			// The cancellation hook resolved first: the context ended while
@@ -336,6 +353,9 @@ func (s *Server) runJob(j job, jm *metrics.Counters) {
 		default:
 			s.jobsDone.Add(1)
 			s.nodesDone.Add(int64(j.forest.NumNodes()))
+		}
+		if won {
+			j.fut.publish(out, err)
 		}
 	}()
 	out, err = j.sel.CompileObserved(j.ctx, j.forest, jm, j.trace)

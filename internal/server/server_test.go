@@ -716,3 +716,36 @@ func TestHTTPHandler(t *testing.T) {
 		t.Errorf("healthz: %d", resp.StatusCode)
 	}
 }
+
+// TestStatsCountJobBeforeWait: a worker counts a job's outcome before its
+// future resolves, so Stats read right after Wait returns already
+// includes the job. The window is narrow (the counter add once trailed
+// the resolve by a few instructions), hence the many rounds.
+func TestStatsCountJobBeforeWait(t *testing.T) {
+	m, err := repro.LoadMachine("x86")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := m.ParseTree("ADD(REG[1], CNST[2])")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := m.NewSelector(repro.KindOnDemand, repro.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.NewSingle(sel, server.Config{Workers: 2})
+	defer srv.Shutdown()
+	for i := 0; i < 20000; i++ {
+		fut, err := srv.Submit(bg, "c", "", f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fut.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.Stats().Jobs; got != int64(i+1) {
+			t.Fatalf("round %d: Stats().Jobs = %d right after Wait, want %d", i, got, i+1)
+		}
+	}
+}

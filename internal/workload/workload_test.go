@@ -63,11 +63,11 @@ func TestCorpusFullySelectable(t *testing.T) {
 			}
 			for _, c := range MustCompileAll(g) {
 				for _, f := range c.Forests() {
-					want, err := rd.Trace(f, l.Label(f))
+					want, err := rd.Trace(f, l.Label(f, nil, 0))
 					if err != nil {
 						t.Fatalf("%s: dp cover: %v", c.Program.Name, err)
 					}
-					got, err := rd.Trace(f, e.Label(f))
+					got, err := rd.Trace(f, e.Label(f, nil, 0))
 					if err != nil {
 						t.Fatalf("%s: od cover: %v", c.Program.Name, err)
 					}

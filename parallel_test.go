@@ -76,19 +76,6 @@ func TestCompileUnitParallel(t *testing.T) {
 			t.Errorf("workers=%d: states %d != sequential %d", workers, parSel.States(), seqSel.States())
 		}
 	}
-
-	// A selector from another machine must be rejected.
-	other, err := repro.LoadMachine("mips")
-	if err != nil {
-		t.Fatal(err)
-	}
-	otherSel, err := other.NewSelector(repro.KindOnDemand, repro.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.CompileUnitParallel(otherSel, unit, 2); err == nil {
-		t.Error("expected machine-mismatch error")
-	}
 }
 
 // TestSelectorConcurrentCompile: one selector, many goroutines, repeated
@@ -146,8 +133,8 @@ func (e errMismatch) Error() string { return "concurrent Compile output mismatch
 // TestCompileWithWorkersLevelParallel: Compile(f, WithWorkers(n)) labels
 // the forest level-parallel on engines that support it, and must produce
 // byte-identical outputs to the sequential compile — across the automaton
-// kinds (which implement reduce.ParallelLabeler) and DP (which silently
-// falls back to the sequential path).
+// kinds (which fan out for workers > 1) and DP (which silently labels
+// sequentially).
 func TestCompileWithWorkersLevelParallel(t *testing.T) {
 	m, err := repro.LoadMachine("x86")
 	if err != nil {

@@ -53,7 +53,7 @@ var ErrSwapInProgress = errors.New("repro: swap already in progress for this mac
 // Entries can also be dropped again: Evict resets one machine to
 // unconstructed (its next Get rebuilds the selector from scratch — the
 // way a MaxStates-capped automaton is reset without a restart), and
-// SetMaxMachines / SetMaxTableBytes arm caps so cold machines are evicted
+// SetMaxTableBytes arms a byte budget so cold machines are evicted
 // automatically as hot ones construct.
 //
 // Table sets are versioned: every construction of a machine's selector is
@@ -73,7 +73,6 @@ type Registry struct {
 	entries  map[string]*regEntry
 	order    []string // registration order; order[0] is the default
 	dir      string   // automaton persistence directory ("" = disabled)
-	maxLive  int      // LRU cap on constructed entries (0 = unlimited)
 	maxBytes int64    // byte budget on resident tables (0 = unlimited)
 	clock    atomic.Int64
 	// draining holds replaced or evicted versions that still have live
@@ -234,7 +233,7 @@ func (r *Registry) lookup(name string) (*regEntry, string, error) {
 }
 
 // materialize constructs e if it is still cold and applies the resource
-// caps after a fresh construction.
+// byte budget after a fresh construction.
 func (r *Registry) materialize(e *regEntry, dir string) {
 	e.lastUse.Store(r.clock.Add(1))
 	constructed := false
@@ -480,27 +479,13 @@ func (r *Registry) retireLocked(old *regEntry) {
 	}
 }
 
-// SetMaxMachines arms the count cap: whenever a Get constructs a selector
-// and more than n reconstructible selectors are live, the least recently
-// used others are evicted (reset to unconstructed) until n remain. Zero
-// disables the cap. Entries registered via AddSelector count toward n but
-// are never chosen as victims (they cannot be reconstructed).
-//
-// SetMaxTableBytes is the finer policy — it bounds what the cap actually
-// protects (resident table memory) instead of a proxy count. Both caps
-// may be armed; eviction runs until both are satisfied.
-func (r *Registry) SetMaxMachines(n int) {
-	r.mu.Lock()
-	r.maxLive = n
-	r.mu.Unlock()
-	r.enforceBudget(nil)
-}
-
 // SetMaxTableBytes arms the byte budget: whenever a construction or swap
 // raises the total resident table bytes — every constructed machine's
 // MemoryBytes plus every still-draining replaced version's — above n, the
 // least recently used reconstructible machines are evicted until the
-// total fits. Zero disables the budget.
+// total fits. Zero disables the budget. Entries registered via
+// AddSelector count toward the total but are never chosen as victims
+// (they cannot be reconstructed).
 //
 // Versions draining after a swap are counted (their tables are resident)
 // but never evicted: the budget squeezes cold machines out instead, so a
@@ -549,7 +534,7 @@ func (r *Registry) residentBytesLocked() int {
 // Evict resets name's entry to unconstructed, dropping its selector: the
 // next Get reconstructs from scratch (reloading any persisted automaton).
 // This is the reset lever for a MaxStates-capped automaton and the manual
-// form of the automatic caps. Entries registered via AddSelector fail
+// form of the byte budget. Entries registered via AddSelector fail
 // with ErrNotEvictable; a machine mid-swap fails with ErrSwapInProgress
 // (the swap is already replacing it); evicting a never-constructed (or
 // sticky-failed) entry simply clears it.
@@ -606,11 +591,10 @@ func (r *Registry) resetEntry(e *regEntry) *regEntry {
 	return ne
 }
 
-// enforceBudget evicts least-recently-used constructed entries until both
-// armed caps are satisfied: at most maxLive constructed machines, and at
-// most maxBytes resident table bytes. keep (the entry just constructed or
-// swapped in) is never chosen; neither are draining versions, machines
-// mid-swap, or AddSelector entries. With an automaton directory
+// enforceBudget evicts least-recently-used constructed entries until at
+// most maxBytes table bytes are resident. keep (the entry just
+// constructed or swapped in) is never chosen; neither are draining
+// versions, machines mid-swap, or AddSelector entries. With an automaton directory
 // configured, a persistence-capable victim's tables are saved (best
 // effort), so cap pressure never silently discards warmth the next
 // construction could restore — but the disk writes happen after the
@@ -620,25 +604,18 @@ func (r *Registry) enforceBudget(keep *regEntry) {
 	var evicted []*regEntry
 	r.mu.Lock()
 	dir := r.dir
-	for r.maxLive > 0 || r.maxBytes > 0 {
-		live := 0
+	for r.maxBytes > 0 && int64(r.residentBytesLocked()) > r.maxBytes {
 		var victim *regEntry
 		for _, name := range r.order {
 			e := r.entries[name]
-			if !e.done.Load() || e.sel == nil {
-				continue
-			}
-			live++
-			if e == keep || e.load == nil || r.swapping[name] {
-				continue // protected newcomer, not reconstructible, or mid-swap
+			if !e.done.Load() || e.sel == nil || e == keep || e.load == nil || r.swapping[name] {
+				continue // unconstructed, protected newcomer, not reconstructible, or mid-swap
 			}
 			if victim == nil || e.lastUse.Load() < victim.lastUse.Load() {
 				victim = e
 			}
 		}
-		over := (r.maxLive > 0 && live > r.maxLive) ||
-			(r.maxBytes > 0 && int64(r.residentBytesLocked()) > r.maxBytes)
-		if !over || victim == nil {
+		if victim == nil {
 			break
 		}
 		r.entries[victim.name] = r.resetEntry(victim)

@@ -379,13 +379,37 @@ func TestRegistryEvict(t *testing.T) {
 	}
 }
 
-// TestRegistryMaxMachinesLRU: with the cap armed, constructing machine
-// N+1 evicts the least recently used constructed machine, and a
-// re-requested evicted machine comes back.
-func TestRegistryMaxMachinesLRU(t *testing.T) {
+// TestRegistryMaxTableBytesLRU: with a byte budget that fits any two of
+// three machines, constructing the third evicts the least recently used
+// constructed machine, and a re-requested evicted machine comes back.
+func TestRegistryMaxTableBytesLRU(t *testing.T) {
+	names := []string{"x86", "jit64", "mips"}
+	// Size the budget from a fresh construction of each machine: the
+	// largest pair fits, all three do not.
+	probe := repro.NewRegistry()
+	total, smallest := 0, 0
+	for _, name := range names {
+		if err := probe.Add(name, repro.KindOnDemand, repro.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := probe.Warm(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, st := range probe.Status() {
+		b := st.Warmth.MemoryBytes
+		if b <= 0 {
+			t.Fatalf("%s: fresh table bytes = %d, want > 0", st.Machine, b)
+		}
+		total += b
+		if smallest == 0 || b < smallest {
+			smallest = b
+		}
+	}
+
 	reg := repro.NewRegistry()
-	reg.SetMaxMachines(2)
-	for _, name := range []string{"x86", "jit64", "mips"} {
+	reg.SetMaxTableBytes(total - smallest)
+	for _, name := range names {
 		if err := reg.Add(name, repro.KindOnDemand, repro.Options{}); err != nil {
 			t.Fatal(err)
 		}
